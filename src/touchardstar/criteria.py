@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeCoefficient, ParameterError
-from .moments import TouchardParams, tail_moment
+from .errors import NegativeCoefficient, NumericFailure, ParameterError
+from .moments import TouchardParams, tail_kernel
 from .series import TruncatedSeries, touchard_series
 
 #: Slack used on the "value <= bound" comparison so boundary cases where the
@@ -133,8 +133,10 @@ class MembershipReport:
 
 
 def _verdict(value: float, p: ClassParams, method: str, detail: str) -> MembershipReport:
+    if not math.isfinite(value):
+        raise NumericFailure(f"criterion value {value!r} is not finite ({detail})")
     return MembershipReport(
-        criterion_value=value,
+        criterion_value=float(value),
         bound=p.bound,
         member=bool(value <= p.bound + TOL_EQ),
         method=method,
@@ -174,36 +176,36 @@ def lemma_sum_N(f: TruncatedSeries, p: ClassParams) -> MembershipReport:
     return _coefficient_sum(f, p, convex=True)
 
 
-def theorem_M_lhs(tp: TouchardParams, p: ClassParams) -> MembershipReport:
-    """Closed form of the starlike-type criterion for the Poisson-weighted kernel.
+def closed_form(which: str, l: int, m, lam, alpha, gain=1.0):
+    """Closed-form value of criterion ``which`` (M, N, integral or rtau).
 
-    The coefficient sum telescopes into
-
-        (1 - alpha*lam) * tail(l+1, m) + (1 - alpha) * tail(l, m)
-
-    where tail is the moment sum over n >= 1.  Because tail(0, m) is
-    1 - exp(-m) while tail(l, m) = mu_l for l >= 1, this one expression
-    covers both the l = 0 and l >= 1 cases without a branch.
+    ``l`` is a validated order; ``m``, ``lam``, ``alpha`` and ``gain`` are
+    valid scalars or ndarrays that broadcast together.  The coefficient sums
+    telescope into shifted moment tails (sums over n >= 1): M is
+    (1 - alpha*lam) tail(l+1) + (1 - alpha) tail(l), N is (1 - alpha*lam)
+    tail(l+2) + (2 - alpha*lam - alpha) tail(l+1) + (1 - alpha) tail(l).
+    tail(0, m) = 1 - exp(-m) and tail(l, m) = mu_l for l >= 1, so l = 0
+    needs no branch.  integral equals M and rtau is gain = (A-B)|tau| times M.
+    The theorem functions below report a value that is not finite (overflow)
+    as a NumericFailure.
     """
-    l = tp.integer_order
-    value = (1.0 - p.alpha * p.lam) * tail_moment(l + 1, tp.m) + (1.0 - p.alpha) * tail_moment(
-        l, tp.m
-    )
+    if which == "N":
+        return ((1.0 - alpha * lam) * tail_kernel(l + 2, m)
+                + (2.0 - alpha * lam - alpha) * tail_kernel(l + 1, m)
+                + (1.0 - alpha) * tail_kernel(l, m))
+    value = (1.0 - alpha * lam) * tail_kernel(l + 1, m) + (1.0 - alpha) * tail_kernel(l, m)
+    return gain * value if which == "rtau" else value
+
+
+def theorem_M_lhs(tp: TouchardParams, p: ClassParams) -> MembershipReport:
+    """Closed form of the starlike-type criterion for the Poisson-weighted kernel."""
+    value = closed_form("M", tp.integer_order, float(tp.m), p.lam, p.alpha)
     return _verdict(value, p, METHOD_CLOSED, "closed form via shifted moment tails")
 
 
 def theorem_N_lhs(tp: TouchardParams, p: ClassParams) -> MembershipReport:
-    """Closed form of the convex-type criterion for the Poisson-weighted kernel.
-
-    (1 - alpha*lam) * tail(l+2) + (2 - alpha*lam - alpha) * tail(l+1)
-    + (1 - alpha) * tail(l), with the same branch-free tails.
-    """
-    l = tp.integer_order
-    value = (
-        (1.0 - p.alpha * p.lam) * tail_moment(l + 2, tp.m)
-        + (2.0 - p.alpha * p.lam - p.alpha) * tail_moment(l + 1, tp.m)
-        + (1.0 - p.alpha) * tail_moment(l, tp.m)
-    )
+    """Closed form of the convex-type criterion for the Poisson-weighted kernel."""
+    value = closed_form("N", tp.integer_order, float(tp.m), p.lam, p.alpha)
     return _verdict(value, p, METHOD_CLOSED, "closed form via shifted moment tails")
 
 
@@ -225,8 +227,7 @@ def theorem_rtau_inclusion(
     upper envelope, so the extremal coefficient sequence need not belong to
     the class itself.
     """
-    base = theorem_M_lhs(tp, p)
-    value = r.gain * base.criterion_value
+    value = closed_form("rtau", tp.integer_order, float(tp.m), p.lam, p.alpha, r.gain)
     return _verdict(
         value,
         p,
@@ -243,9 +244,8 @@ def theorem_integral_operator(tp: TouchardParams, p: ClassParams) -> MembershipR
     the convex-type weight, so the value (and the verdict) is identical to
     the kernel's starlike-type criterion.
     """
-    base = theorem_M_lhs(tp, p)
     return _verdict(
-        base.criterion_value,
+        closed_form("integral", tp.integer_order, float(tp.m), p.lam, p.alpha),
         p,
         METHOD_CLOSED,
         "1/n coefficient of the integral transform cancels the n of the convex-type weight; "

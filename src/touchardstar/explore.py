@@ -8,9 +8,9 @@ carries a negative term): the scan walks a geometric ladder, records every
 sign change, bisects the first bracket and reports the rest alongside a
 warning.
 
-Sweeps evaluate one criterion over a cartesian parameter grid, one row per
-point, in a fixed order, never aborting on a bad point (errors become row
-status codes).  Output is deterministic to the byte.
+Sweeps evaluate one criterion over a cartesian parameter grid in array
+calls, one per moment order, never aborting on a bad point (errors become
+row status codes).  Output is deterministic to the byte.
 """
 
 from __future__ import annotations
@@ -18,16 +18,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .criteria import (
+    ALPHA_MAX,
+    TOL_EQ,
     ClassParams,
     MembershipReport,
     RTauParams,
+    closed_form,
     theorem_M_lhs,
     theorem_N_lhs,
     theorem_integral_operator,
     theorem_rtau_inclusion,
 )
-from .errors import NoThreshold, NumericFailure, ParameterError
+from .errors import NoThreshold, ParameterError
 from .moments import TouchardParams
 
 #: Geometric scan ladder: m = 2**k for k in this inclusive range.  The upper
@@ -156,6 +161,7 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
 # Parameter columns in their fixed sweep order.
 _PARAM_ORDER = ("l", "m", "lambda", "alpha", "tau", "A", "B")
 _RESULT_COLUMNS = ("criterion_value", "bound", "member", "status")
+_BAD_PARAMS = (ParameterError, ValueError, TypeError)
 
 
 @dataclass(frozen=True)
@@ -174,22 +180,29 @@ class SweepTable:
         }
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in self.columns))
-        return "\n".join(lines) + "\n"
+        from .formats import rows_csv  # the CLI's renderer, loaded only when asked for
+        return rows_csv(self.columns, self.rows)
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(float(v))
-    if isinstance(v, complex):
-        return f"{complex(v)!r}".replace(" ", "")
-    return str(v)
+def _checked(make, axes, trailing=0) -> np.ndarray:
+    """``make(*point)`` over the product of ``axes``, shaped like that product
+    plus ``trailing`` unit axes; NaN where ``make`` rejects the point."""
+    out = []
+    for point in itertools.product(*axes):
+        try:
+            out.append(make(*point))
+        except _BAD_PARAMS:
+            out.append(np.nan)
+    return np.array(out, dtype=float).reshape([len(a) for a in axes] + [1] * trailing)
+
+
+def _tau_cell(t) -> str:
+    """tau in canonical complex form (safe in CSV and JSON, parses back to the
+    same value), or as given when it does not parse."""
+    try:
+        return repr(complex(str(t).replace(" ", ""))).replace(" ", "")
+    except ValueError:
+        return str(t)
 
 
 def sweep(which: str, grid: dict) -> SweepTable:
@@ -201,6 +214,11 @@ def sweep(which: str, grid: dict) -> SweepTable:
     A parameter or numeric error at one point becomes that row's status
     code; the sweep itself never aborts.  An empty list anywhere yields a
     header-only table.
+
+    Each axis value (each (tau, A, B) triple for rtau) is validated once and
+    each l is evaluated over its whole block of the other axes in one array
+    call to the closed form the scalar criteria use, so every row holds what
+    :func:`criterion_value` returns or raises at its point, bit for bit.
     """
     if which not in CRITERION_NAMES:
         raise ParameterError(f"unknown criterion {which!r}; expected M, N, rtau or integral")
@@ -215,39 +233,37 @@ def sweep(which: str, grid: dict) -> SweepTable:
         raise ParameterError(f"sweep grid has unexpected keys: {', '.join(unknown)}")
 
     axes = [list(grid[n]) for n in param_names]
-    rows = []
-    for values in itertools.product(*axes):
-        point = dict(zip(param_names, values))
-        row = dict(point)
-        if needs_rtau:
-            row["tau"] = str(point["tau"])  # placeholder if the parse fails
-        try:
-            rt = None
-            if needs_rtau:
-                tau = complex(str(point["tau"]).replace(" ", ""))
-                # canonical complex rendering, safe for CSV cells and JSON
-                row["tau"] = _csv_cell(tau)
-                rt = RTauParams(tau, float(point["A"]), float(point["B"]))
-            report = criterion_value(
-                which,
-                point["l"],
-                point["m"],
-                ClassParams(float(point["lambda"]), float(point["alpha"])),
-                rt,
-            )
-            row.update(
-                criterion_value=report.criterion_value,
-                bound=report.bound,
-                member=report.member,
-                status="ok",
-            )
-        except (ParameterError, ValueError, TypeError):
-            row.update(criterion_value=None, bound=None, member=None, status="invalid_params")
-        except NumericFailure:
-            row.update(criterion_value=None, bound=None, member=None, status="numeric_failure")
-        rows.append(row)
+    # one l's block: m, lambda, alpha (and tau, A, B), each along its own axis
+    dims = len(axes) - 1
+    m = _checked(lambda m: TouchardParams(0, m).m, axes[1:2], dims - 1)
+    lam = _checked(lambda v: ClassParams(float(v), ALPHA_MAX).lam, axes[2:3], dims - 2)
+    alpha = _checked(lambda v: ClassParams(0.0, float(v)).alpha, axes[3:4], dims - 3)
+    gain = 1.0
+    if needs_rtau:
+        axes[4] = [_tau_cell(t) for t in axes[4]]
+        gain = _checked(lambda t, a, b: RTauParams(complex(t), float(a), float(b)).gain,
+                        axes[4:])
+    bad = np.isnan(m) | np.isnan(lam) | np.isnan(alpha) | np.isnan(gain)
+    value = np.full((len(axes[0]),) + bad.shape, np.nan)
+    invalid = np.broadcast_to(bad, value.shape).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, l in enumerate(axes[0]):
+            try:
+                value[i] = closed_form(which, TouchardParams(l, 1.0).integer_order,
+                                       m, lam, alpha, gain)
+            except _BAD_PARAMS:  # a bad l, or l past the exact Stirling cap
+                invalid[i] = True
+    bound = alpha - 1.0
+    status = np.where(invalid, "invalid_params",
+                      np.where(np.isfinite(value), "ok", "numeric_failure"))
+    columns = tuple(param_names) + _RESULT_COLUMNS
+    cells = zip(itertools.product(*axes),
+                *(np.broadcast_to(a, value.shape).ravel().tolist()
+                  for a in (value, bound, value <= bound + TOL_EQ, status)))
     return SweepTable(
         criterion=which,
-        columns=tuple(param_names) + _RESULT_COLUMNS,
-        rows=tuple(rows),
+        columns=columns,
+        rows=tuple(dict(zip(columns, point + ((v, b, mem, st) if st == "ok" else
+                                              (None, None, None, st))))
+                   for point, v, b, mem, st in cells),
     )

@@ -7,8 +7,8 @@ The l-th raw moment of a Poisson(m) variable,
 equals the Touchard (Bell / exponential) polynomial T_l(m).  Two independent
 evaluation routes are provided:
 
-* :func:`poisson_moment_closed` builds T_l(m) = sum_k S(l,k) m**k from exact
-  Stirling numbers of the second kind (integer l only).
+* :func:`poisson_moment_closed` evaluates T_l(m) = sum_k S(l,k) m**k by
+  Horner's rule over Stirling numbers of the second kind (integer l only).
 * :func:`poisson_moment_series` sums the defining series directly with
   compensated summation and a certified tail bound (any real l >= 0; the
   non-integer case is an experimental extension, reachable only here).
@@ -16,13 +16,17 @@ evaluation routes are provided:
 :func:`tail_moment` is the same sum restricted to n >= 1.  For l >= 1 it
 equals mu_l (the n = 0 term vanishes); for l = 0 it equals 1 - exp(-m).
 Dropping the n = 0 term in a single formula is what lets the membership
-criteria downstream avoid a special case at l = 0.
+criteria downstream avoid a special case at l = 0.  :func:`tail_kernel`
+evaluates both, for a float or an ndarray m.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidIndex, NoConvergence, OrderTooLarge, ParameterError
 
@@ -50,9 +54,8 @@ class TouchardParams:
     m: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, (int, float)) and math.isfinite(self.m) and self.m > 0):
-            raise ParameterError(f"Poisson parameter m must be a positive finite real, got {self.m!r}")
-        if not (isinstance(self.l, (int, float)) and math.isfinite(self.l) and self.l >= 0):
+        _check_m(self.m)
+        if not (_is_order(self.l) and math.isfinite(self.l) and self.l >= 0):
             raise ParameterError(f"moment order l must be a nonnegative finite real, got {self.l!r}")
 
     @property
@@ -84,16 +87,19 @@ class MomentValue:
         }
 
 
+def _is_order(l) -> bool:
+    return isinstance(l, (int, float, numbers.Integral)) and not isinstance(l, bool)
+
+
 def _as_integer_order(l) -> int:
-    if isinstance(l, bool) or not isinstance(l, (int, float)):
+    if not _is_order(l):
         raise ParameterError(f"moment order must be numeric, got {l!r}")
-    if isinstance(l, float):
-        if not l.is_integer():
-            raise ParameterError(
-                f"closed-form path takes integer moment orders only, got l={l!r} "
-                "(use the series path for real orders)"
-            )
-        l = int(l)
+    if isinstance(l, float) and not l.is_integer():
+        raise ParameterError(
+            f"closed-form path takes integer moment orders only, got l={l!r} "
+            "(use the series path for real orders)"
+        )
+    l = int(l)
     if l < 0:
         raise ParameterError(f"moment order must be nonnegative, got {l}")
     return l
@@ -109,6 +115,8 @@ def _check_m(m: float) -> float:
 # Row l holds S(l, 0..l) as exact Python ints.  Rows are appended once and
 # never mutated afterwards, so concurrent readers are safe.
 _STIRLING_ROWS: list[list[int]] = [[1]]
+# Row l as floats S(l, l), ..., S(l, 0), highest power first, for Horner.
+_HORNER_ROWS: dict[int, tuple] = {}
 
 
 def stirling2(l: int, k: int, *, l_max: int = L_MAX) -> int:
@@ -137,22 +145,42 @@ def stirling2(l: int, k: int, *, l_max: int = L_MAX) -> int:
     return _STIRLING_ROWS[l][k]
 
 
+def tail_kernel(l: int, m, *, l_max: int = L_MAX):
+    """The moment sum over n >= 1 for an integer order 0 <= l <= l_max.
+
+    ``m`` is a positive float or an ndarray of them, not validated here.
+    l >= 1 gives T_l(m) by Horner's rule over the float Stirling row, l = 0
+    gives 1 - exp(-m) by ``np.expm1`` (``math.expm1`` can differ in the last
+    bit).  A float m gives a float, and each element of an array result is
+    bit for bit the scalar result for that m.
+    """
+    if l > l_max:
+        raise OrderTooLarge(f"order l={l} exceeds the exact-arithmetic cap {l_max}")
+    if l == 0:
+        tail = -np.expm1(-m)
+        return float(tail) if isinstance(m, float) else tail
+    if l not in _HORNER_ROWS:
+        _HORNER_ROWS[l] = tuple(float(stirling2(l, k, l_max=l_max)) for k in range(l, -1, -1))
+    row = _HORNER_ROWS[l]
+    value = row[0]
+    for c in row[1:]:
+        value *= m  # in place once value is an array: the fresh result of 1.0 * m
+        value += c
+    return value
+
+
 def poisson_moment_closed(l: int, m: float, *, l_max: int = L_MAX) -> MomentValue:
     """Raw Poisson moment by the Touchard polynomial T_l(m) = sum_k S(l,k) m**k.
 
-    Exact Stirling coefficients, floating powers of m, exactly rounded sum.
-    mu_0 = 1 for every m.
+    Horner's rule over the Stirling coefficients rounded to floats; none is
+    negative and m > 0, so the relative error is at most (2l+1)u/(1-(2l+1)u),
+    u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 5.1,
+    plus the coefficient rounding).  mu_0 = 1 for every m.
     """
     l = _as_integer_order(l)
     m = _check_m(m)
-    if l > l_max:
-        raise OrderTooLarge(f"order l={l} exceeds the exact-arithmetic cap {l_max}")
-    terms = []
-    power = 1.0
-    for k in range(l + 1):
-        terms.append(stirling2(l, k, l_max=l_max) * power)
-        power *= m
-    return MomentValue(value=math.fsum(terms), method=METHOD_CLOSED)
+    value = tail_kernel(l, m, l_max=l_max) if l else 1.0
+    return MomentValue(value=value, method=METHOD_CLOSED)
 
 
 def poisson_moment_series(
@@ -213,8 +241,4 @@ def tail_moment(l: int, m: float) -> float:
     criteria are all linear combinations of these tails, which is what makes
     one formula cover both the l = 0 and l >= 1 cases.
     """
-    l = _as_integer_order(l)
-    m = _check_m(m)
-    if l == 0:
-        return -math.expm1(-m)
-    return poisson_moment_closed(l, m).value
+    return float(tail_kernel(_as_integer_order(l), _check_m(m)))

@@ -153,6 +153,17 @@ class TestCheckTheorem:
         assert code == 0
         assert "sufficient" in json.loads(out)["detail"]
 
+    def test_overflow_is_numeric_failure_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "touchardstar", "check-theorem", "--which", "M",
+             "--l", "60", "--m", "1e7", "--lambda", "0", "--alpha", "1.2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "numeric failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_computed_nonmember_still_exits_zero(self, capsys):
         code, out, _ = run(capsys, ["check-theorem", "--which", "M", "--l", "3",
                                     "--m", "4", "--lambda", "0", "--alpha", "1.05"])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from touchardstar import (
     ClassParams,
     NegativeCoefficient,
+    NumericFailure,
     ParameterError,
     RTauParams,
     TOL_EQ,
@@ -424,3 +425,22 @@ class TestMembershipReport:
         assert lemma_sum_M(TruncatedSeries([1.0, exact]), p).member
         assert lemma_sum_M(TruncatedSeries([1.0, nudged]), p).member
         assert not lemma_sum_M(TruncatedSeries([1.0, over]), p).member
+
+
+class TestNonFiniteValues:
+    """A closed form that overflows is a NumericFailure, never a NaN verdict."""
+
+    def test_overflow_raises(self):
+        # T_61(1e7) and T_60(1e7) overflow; inf - inf would come back as NaN
+        with pytest.raises(NumericFailure):
+            theorem_M_lhs(TouchardParams(60, 1e7), ClassParams(0, 1.2))
+
+    @pytest.mark.parametrize("criterion", [theorem_N_lhs, theorem_integral_operator])
+    def test_other_closed_forms_raise(self, criterion):
+        with pytest.raises(NumericFailure):
+            criterion(TouchardParams(60, 1e7), ClassParams(0.25, 1.2))
+
+    def test_rtau_gain_overflow_raises(self):
+        r = RTauParams(1e308, 1.0, -1.0)
+        with pytest.raises(NumericFailure):
+            theorem_rtau_inclusion(TouchardParams(0, 2.0), ClassParams(0.0, 1.2), r)

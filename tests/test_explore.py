@@ -1,14 +1,20 @@
 """Threshold finding and sweep tables."""
 
+import itertools
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import touchardstar.explore as explore
 from touchardstar import (
     ClassParams,
     MembershipReport,
     NoThreshold,
+    NumericFailure,
     ParameterError,
     RTauParams,
     TouchardParams,
@@ -222,3 +228,93 @@ class TestSweep:
         grid = {"l": [0, 1], "m": [0.5, 1.0, 2.0], "lambda": [0.0, 0.5], "alpha": [1.2]}
         assert sweep("N", grid).to_csv() == sweep("N", grid).to_csv()
         assert sweep("N", grid).to_dict() == sweep("N", grid).to_dict()
+
+
+def reference_rows(which, grid):
+    """Sweep rows computed one point at a time through criterion_value."""
+    names = [n for n in ("l", "m", "lambda", "alpha", "tau", "A", "B") if n in grid]
+    rows = []
+    for values in itertools.product(*(grid[n] for n in names)):
+        point = dict(zip(names, values))
+        row = dict(point)
+        try:
+            rt = None
+            if which == "rtau":
+                row["tau"] = str(point["tau"])
+                tau = complex(str(point["tau"]).replace(" ", ""))
+                row["tau"] = repr(tau).replace(" ", "")
+                rt = RTauParams(tau, float(point["A"]), float(point["B"]))
+            p = ClassParams(float(point["lambda"]), float(point["alpha"]))
+            report = criterion_value(which, point["l"], point["m"], p, rt)
+            row.update(criterion_value=report.criterion_value, bound=report.bound,
+                       member=report.member, status="ok")
+        except (ParameterError, ValueError, TypeError):
+            row.update(criterion_value=None, bound=None, member=None, status="invalid_params")
+        except NumericFailure:
+            row.update(criterion_value=None, bound=None, member=None, status="numeric_failure")
+        rows.append(row)
+    return rows
+
+
+def axis(values, bad):
+    """One to three axis values, about one in three of them from ``bad``."""
+    value = st.tuples(st.integers(0, 2), values, st.sampled_from(bad)).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+    return st.lists(value, min_size=1, max_size=3)
+
+
+GRIDS = st.fixed_dictionaries({
+    # orders up to 63 and m past 2^10 reach overflow, numeric_failure rows
+    "l": axis(st.one_of(st.integers(0, 12), st.sampled_from([30, 60, 62, 63])),
+              [64, 65, -1, 1.5, 2.0, np.int64(3), True, "2"]),
+    "m": axis(st.one_of(st.floats(2.0**-10, 2.0**10), st.sampled_from([1e7, 2.0**32])),
+              [0.0, -1.0, math.nan, math.inf, "1", 2]),
+    "lambda": axis(st.floats(0.0, 0.99), [0.75, -0.1, 1.0, math.nan, "0.5", "x"]),
+    "alpha": axis(st.floats(1.0, 4.0 / 3.0), [4.0 / 3.0, 0.9, 1.5, math.nan]),
+})
+RTAU_AXES = st.fixed_dictionaries({
+    "tau": axis(st.complex_numbers(max_magnitude=3.0),
+                ["1+1j", "1 + 1j", "not-a-number", 0, "0j", 1e308, "(1+0j)"]),
+    "A": axis(st.floats(-1.2, 1.2), [1.0, "1"]),
+    "B": axis(st.floats(-1.2, 1.2), [-1.0, math.nan]),
+})
+
+
+class TestSweepMatchesScalarPath:
+    """Every sweep row is what criterion_value returns or raises at its point."""
+
+    @given(which=st.sampled_from(["M", "N", "integral"]), grid=GRIDS)
+    def test_random_grids(self, which, grid):
+        table = sweep(which, grid)
+        assert repr(table.rows) == repr(tuple(reference_rows(which, grid)))
+
+    @given(grid=GRIDS, rtau=RTAU_AXES)
+    def test_random_rtau_grids(self, grid, rtau):
+        grid = {**grid, **rtau}
+        table = sweep("rtau", grid)
+        assert repr(table.rows) == repr(tuple(reference_rows("rtau", grid)))
+
+    @pytest.mark.parametrize("which", ["M", "N", "integral", "rtau"])
+    def test_overflow_rows_are_numeric_failures(self, which):
+        grid = {"l": [30, 60], "m": [2.0**k for k in range(10, 35)],
+                "lambda": [0.25], "alpha": [1.2]}
+        if which == "rtau":
+            grid.update(tau=[1.0], A=[1.0], B=[-1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = sweep(which, grid)
+        ok = [r["criterion_value"] for r in table.rows if r["status"] == "ok"]
+        assert all(math.isfinite(v) for v in ok)
+        assert {r["status"] for r in table.rows} == {"ok", "numeric_failure"}
+        assert repr(table.rows) == repr(tuple(reference_rows(which, grid)))
+
+    @pytest.mark.parametrize("which", ["M", "N", "integral", "rtau"])
+    def test_numpy_integer_orders(self, which):
+        rest = {"m": [0.5, 2.0], "lambda": [0.25], "alpha": [1.2]}
+        if which == "rtau":
+            rest.update(tau=[1.0], A=[1.0], B=[-1.0])
+        arange = sweep(which, {"l": np.arange(0, 4), **rest})
+        plain = sweep(which, {"l": [0, 1, 2, 3], **rest})
+        assert all(r["status"] == "ok" for r in arange.rows)
+        assert [r["criterion_value"] for r in arange.rows] == \
+            [r["criterion_value"] for r in plain.rows]

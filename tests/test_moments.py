@@ -8,7 +8,9 @@ Oracles used here:
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from touchardstar import (
     stirling2,
     tail_moment,
 )
+from touchardstar.moments import tail_kernel
 
 M_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
 
@@ -267,3 +270,39 @@ class TestTouchardParams:
         mv = MomentValue(1.0, "closed_form")
         with pytest.raises(AttributeError):
             mv.value = 2.0
+
+
+class TestHornerKernel:
+    """The one closed-form kernel behind moments, tails, criteria and sweeps."""
+
+    @given(l=st.integers(0, 64), m=st.floats(2.0**-10, 2.0**10))
+    def test_within_horner_bound_of_exact_stirling_sum(self, l, m):
+        # positive coefficients and m: relative error at most gamma_(2l+1) < (2l+2)u
+        exact = sum(stirling2(l, k) * Fraction(m) ** k for k in range(l + 1))
+        error = abs(Fraction(poisson_moment_closed(l, m).value) - exact)
+        assert error <= (2 * l + 2) * Fraction(1, 2**53) * exact
+
+    @given(l=st.integers(0, 64), ms=st.lists(st.floats(2.0**-10, 2.0**10), min_size=1,
+                                             max_size=8))
+    def test_array_elements_equal_scalar_results(self, l, ms):
+        values = tail_kernel(l, np.array(ms)).tolist()
+        assert values == [tail_kernel(l, m) for m in ms]
+        assert all(type(tail_kernel(l, m)) is float for m in ms)
+
+    def test_order_cap(self):
+        with pytest.raises(OrderTooLarge):
+            tail_kernel(65, np.array([1.0]))
+
+
+class TestNumpyIntegerOrders:
+    def test_numpy_integers_accepted(self):
+        tp = TouchardParams(np.int64(2), 0.5)
+        assert tp.integer_order == 2 and type(tp.integer_order) is int
+        assert poisson_moment_closed(np.int64(2), 0.5).value == 0.75
+        assert tail_moment(np.uint8(1), 2.0) == 2.0
+
+    def test_bool_rejected(self):
+        with pytest.raises(ParameterError):
+            TouchardParams(True, 1.0)
+        with pytest.raises(ParameterError):
+            poisson_moment_closed(True, 1.0)
