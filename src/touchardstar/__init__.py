@@ -53,6 +53,7 @@ from .series import (
     apply_operator_I,
     apply_operator_L,
     evaluate,
+    evaluate_rings,
     hadamard,
     series_from_csv,
     series_to_csv,
@@ -91,6 +92,7 @@ __all__ = [
     "brute_force_N",
     "criterion_value",
     "evaluate",
+    "evaluate_rings",
     "find_threshold",
     "hadamard",
     "lemma_sum_M",

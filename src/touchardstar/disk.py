@@ -7,6 +7,10 @@ only ever provide one-sided evidence (a violation disproves membership, the
 absence of violations proves nothing), so reports are consistency evidence,
 not certificates.
 
+Every scan takes the derivatives it needs on all rings of the grid from one
+inverse DFT of the radius-scaled coefficients (:func:`series.evaluate_rings`),
+not from Horner's rule at every sample.
+
 Near-boundary radii are opt-in: truncation error of the series grows as
 |z| -> 1, so the default grid stops at 0.95.
 """
@@ -19,7 +23,7 @@ import numpy as np
 
 from .criteria import ClassParams, RTauParams
 from .errors import ParameterError
-from .series import TruncatedSeries, evaluate
+from .series import TruncatedSeries, _positive_int, evaluate_rings
 
 #: Margin on the violation comparison: a sample counts as a violation when
 #: the tested real part (or modulus) reaches bound - TOL_V.
@@ -41,17 +45,16 @@ class DiskGrid:
         radii = tuple(float(r) for r in self.radii)
         if not radii or not all(0.0 < r < 1.0 for r in radii):
             raise ParameterError("grid radii must be a nonempty list inside (0, 1)")
-        if not isinstance(self.angles_per_ring, int) or self.angles_per_ring < 1:
-            raise ParameterError("angles_per_ring must be a positive integer")
         object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "angles_per_ring",
+                           _positive_int(self.angles_per_ring, "angles_per_ring"))
 
     @classmethod
     def uniform(cls, r_max: float = 0.95, rings: int = 19, angles: int = 96) -> "DiskGrid":
         """Radii r_max * k/rings for k = 1..rings (defaults give 0.05, 0.10, ..., 0.95)."""
         if not (0.0 < r_max < 1.0):
             raise ParameterError(f"r_max must lie in (0, 1), got {r_max!r}")
-        if not isinstance(rings, int) or rings < 1:
-            raise ParameterError("rings must be a positive integer")
+        rings = _positive_int(rings, "rings")
         return cls(tuple(r_max * k / rings for k in range(1, rings + 1)), angles)
 
     @classmethod
@@ -124,13 +127,17 @@ def _scan(points: np.ndarray, stat: np.ndarray, valid: np.ndarray, bound: float,
     )
 
 
+def _on_grid(f: TruncatedSeries, grid: DiskGrid, orders) -> np.ndarray:
+    """The requested derivatives of f, one row per order, in ``grid.points()`` order."""
+    return evaluate_rings(f, grid.radii, grid.angles_per_ring, orders).reshape(len(orders), -1)
+
+
 def verify_M(f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None,
              keep_samples: bool = False) -> VerificationReport:
     """Sample Re( z f' / ((1-lam) f + lam z f') ) and count samples reaching alpha."""
     grid = grid or DiskGrid.default()
     z = grid.points()
-    fz = evaluate(f, z, 0)
-    fpz = evaluate(f, z, 1)
+    fz, fpz = _on_grid(f, grid, (0, 1))
     den = (1.0 - p.lam) * fz + p.lam * z * fpz
     valid = np.abs(den) >= DEGENERATE_DEN
     quot = np.divide(z * fpz, den, out=np.zeros_like(den), where=valid)
@@ -146,8 +153,7 @@ def verify_N(f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None,
     """
     grid = grid or DiskGrid.default()
     z = grid.points()
-    fpz = evaluate(f, z, 1)
-    fppz = evaluate(f, z, 2)
+    fpz, fppz = _on_grid(f, grid, (1, 2))
     den = fpz + p.lam * z * fppz
     valid = np.abs(den) >= DEGENERATE_DEN
     quot = np.divide(fpz + z * fppz, den, out=np.zeros_like(den), where=valid)
@@ -159,7 +165,7 @@ def verify_rtau(f: TruncatedSeries, r: RTauParams, grid: DiskGrid | None = None,
     """Sample |(f' - 1) / ((A-B) tau - B (f' - 1))| and count samples reaching 1."""
     grid = grid or DiskGrid.default()
     z = grid.points()
-    w = evaluate(f, z, 1) - 1.0
+    w = _on_grid(f, grid, (1,))[0] - 1.0
     den = (r.A - r.B) * r.tau - r.B * w
     valid = np.abs(den) >= DEGENERATE_DEN
     quot = np.divide(w, den, out=np.zeros_like(den), where=valid)
@@ -173,9 +179,7 @@ def samples_to_csv(grid: DiskGrid, report: VerificationReport) -> str:
     """
     if report.sample_values is None:
         raise ParameterError("report carries no per-sample values; rerun with keep_samples=True")
-    z = grid.points()
-    lines = ["re,im,value"]
-    for zk, vk in zip(z, report.sample_values):
-        v = "" if np.isnan(vk) else repr(float(vk))
-        lines.append(f"{float(zk.real)!r},{float(zk.imag)!r},{v}")
-    return "\n".join(lines) + "\n"
+    from .formats import rows_csv  # the CLI's renderer, loaded only when asked for
+    return rows_csv(("re", "im", "value"), (
+        {"re": zk.real, "im": zk.imag, "value": None if np.isnan(vk) else float(vk)}
+        for zk, vk in zip(grid.points().tolist(), report.sample_values)))

@@ -161,7 +161,7 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
 # Parameter columns in their fixed sweep order.
 _PARAM_ORDER = ("l", "m", "lambda", "alpha", "tau", "A", "B")
 _RESULT_COLUMNS = ("criterion_value", "bound", "member", "status")
-_BAD_PARAMS = (ParameterError, ValueError, TypeError)
+_BAD_PARAMS = (ParameterError, ValueError, TypeError, OverflowError)  # an int past float range
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,11 @@ def _as_integer_order(l) -> int:
 
 
 def _check_m(m: float) -> float:
-    if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 0):
+    try:
+        ok = isinstance(m, (int, float)) and math.isfinite(m) and m > 0
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ParameterError(f"Poisson parameter m must be a positive finite real, got {m!r}")
     return float(m)
 

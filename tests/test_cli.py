@@ -278,6 +278,15 @@ class TestSweep:
         payload = json.loads(out)
         assert len(payload["rows"]) == 6
 
+    def test_int_m_too_large_for_a_float(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**self.SPEC, "m": [10**400, 0.5]}), encoding="utf-8")
+        code, out, err = run(capsys, ["sweep", "--spec", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert [r["status"] for r in rows] == ["invalid_params", "ok"] * 2
+        assert rows[0]["m"] == 10**400
+
     def test_bad_spec(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"l": [0]}), encoding="utf-8")

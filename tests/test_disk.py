@@ -21,6 +21,7 @@ from touchardstar import (
     verify_N,
     verify_rtau,
 )
+from touchardstar.disk import DEGENERATE_DEN, TOL_V
 
 
 class TestDiskGrid:
@@ -54,6 +55,19 @@ class TestDiskGrid:
             DiskGrid((0.5, 1.2), 8)
         with pytest.raises(ParameterError):
             DiskGrid((), 8)
+
+    def test_numpy_integers_accepted_and_stored_as_int(self):
+        g = DiskGrid((0.5,), np.int64(8))
+        assert g.angles_per_ring == 8 and type(g.angles_per_ring) is int
+        g = DiskGrid.uniform(0.9, rings=np.int64(3), angles=np.uint16(4))
+        assert g.radii == pytest.approx((0.3, 0.6, 0.9))
+        assert type(g.angles_per_ring) is int and g.size == 12
+
+    def test_bool_rejected(self):
+        with pytest.raises(ParameterError):
+            DiskGrid((0.5,), True)
+        with pytest.raises(ParameterError):
+            DiskGrid.uniform(0.5, rings=True)
 
 
 class TestVerifyM:
@@ -152,6 +166,69 @@ class TestVerifyRtau:
         assert np.allclose(report.sample_values, classical, rtol=1e-12, atol=1e-15)
 
 
+def horner_scan(which, f, params, grid):
+    """(statistic, valid) of a scan, with Horner's rule at every grid point."""
+    z = grid.points()
+    d0, d1, d2 = (evaluate(f, z, d) for d in (0, 1, 2))
+    if which == "M":
+        num, den = z * d1, (1.0 - params.lam) * d0 + params.lam * z * d1
+    elif which == "N":
+        num, den = d1 + z * d2, d1 + params.lam * z * d2
+    else:
+        num = d1 - 1.0
+        den = (params.A - params.B) * params.tau - params.B * num
+    valid = np.abs(den) >= DEGENERATE_DEN
+    quot = num[valid] / den[valid]
+    return (np.abs(quot) if which == "rtau" else quot.real), valid
+
+
+class TestScansMatchHorner:
+    """The ring evaluator leaves the verdicts of seeded scans unchanged."""
+
+    GRIDS = (DiskGrid.default(), DiskGrid.uniform(0.99, rings=8, angles=7),
+             DiskGrid((0.2, 0.5, 0.9, 0.97), 40))
+
+    @pytest.mark.parametrize("which", ["M", "N", "rtau"])
+    def test_same_violations_and_degenerates(self, which):
+        rng = np.random.default_rng(20201)
+        verify = {"M": verify_M, "N": verify_N, "rtau": verify_rtau}[which]
+        violations = []
+        for _ in range(12):
+            f = touchard_series(TouchardParams(int(rng.integers(0, 4)),
+                                               float(rng.uniform(0.1, 3.0))), 64)
+            if which == "rtau":
+                params, bound = RTauParams(1.0, float(rng.uniform(0.2, 1.0)), -0.5), 1.0
+            else:
+                params = ClassParams(float(rng.uniform(0.0, 0.9)),
+                                     float(rng.uniform(1.05, 4.0 / 3.0)))
+                bound = params.alpha
+            for grid in self.GRIDS:
+                stat, valid = horner_scan(which, f, params, grid)
+                # away from the bound: no sample within 1e-9 of the threshold
+                assert np.min(np.abs(stat - (bound - TOL_V))) > 1e-9
+                report = verify(f, params, grid)
+                assert report.violations == int(np.count_nonzero(stat >= bound - TOL_V))
+                assert report.degenerate_samples == int(valid.size - np.count_nonzero(valid))
+                assert report.max_real_part == pytest.approx(np.max(stat), rel=1e-12)
+                violations.append(report.violations)
+        assert min(violations) == 0 < max(violations)
+
+    def test_identity_distortion_is_exactly_zero_on_any_ring_size(self):
+        for grid in self.GRIDS:
+            report = verify_rtau(TruncatedSeries([1.0, 0.0]), RTauParams(1.0, 1.0, -1.0), grid)
+            assert report.max_real_part == 0.0
+
+    def test_zero_of_f_on_the_grid_stays_degenerate(self):
+        # f(z) = z - 2 z^2 vanishes at z = 0.5: angle 0 of the ring r = 0.5
+        f = TruncatedSeries([1.0, -2.0])
+        report = verify_M(f, ClassParams(0.0, 1.2), DiskGrid((0.5,), 8), keep_samples=True)
+        assert report.degenerate_samples == 1
+        assert np.isnan(report.sample_values[0])
+        default = verify_M(f, ClassParams(0.0, 1.2), keep_samples=True)
+        ring = DiskGrid.default().radii.index(0.5)
+        assert np.isnan(default.sample_values[ring * 96])
+
+
 class TestSampleDump:
     def test_csv_shape_and_degenerates(self):
         f = TruncatedSeries([1.0, -2.0])
@@ -163,6 +240,17 @@ class TestSampleDump:
         assert len(lines) == 1 + grid.size
         empties = sum(1 for ln in lines[1:] if ln.endswith(","))
         assert empties == report.degenerate_samples
+
+    def test_bytes_match_hand_built_rows(self):
+        grid = DiskGrid((0.5, 0.9), 12)
+        report = verify_M(TruncatedSeries([1.0, -2.0]), ClassParams(0.0, 1.2), grid,
+                          keep_samples=True)
+        assert report.degenerate_samples == 1  # one empty value cell
+        rows = ["re,im,value"]
+        for zk, vk in zip(grid.points(), report.sample_values):
+            value = "" if np.isnan(vk) else repr(float(vk))
+            rows.append(f"{float(zk.real)!r},{float(zk.imag)!r},{value}")
+        assert samples_to_csv(grid, report) == "\n".join(rows) + "\n"
 
     def test_requires_kept_samples(self):
         f = TruncatedSeries([1.0, 0.0])

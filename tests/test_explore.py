@@ -181,6 +181,18 @@ class TestSweep:
         bad = next(r for r in table.rows if r["status"] != "ok")
         assert bad["criterion_value"] is None
 
+    @pytest.mark.parametrize("axis", ["l", "m", "lambda", "alpha", "tau", "A", "B"])
+    def test_int_too_large_for_a_float_becomes_status_row(self, axis):
+        grid = {"l": [1], "m": [0.5], "lambda": [0.0], "alpha": [1.2],
+                "tau": [1.0], "A": [1.0], "B": [-1.0]}
+        grid[axis] = [10**400] + grid[axis]
+        which = "rtau" if axis in ("tau", "A", "B") else "M"
+        if which == "M":
+            for key in ("tau", "A", "B"):
+                del grid[key]
+        statuses = [row["status"] for row in sweep(which, grid).rows]
+        assert statuses == ["invalid_params", "ok"]
+
     def test_malformed_tau_becomes_status_row(self):
         table = sweep(
             "rtau",

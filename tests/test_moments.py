@@ -261,6 +261,12 @@ class TestTouchardParams:
         with pytest.raises(ParameterError):
             TouchardParams(float("nan"), 1.0)
 
+    def test_int_m_too_large_for_a_float(self):
+        with pytest.raises(ParameterError):
+            TouchardParams(0, 10**400)
+        with pytest.raises(ParameterError):
+            poisson_moment_closed(1, 10**400)
+
     def test_integer_order(self):
         assert TouchardParams(3.0, 1.0).integer_order == 3
         with pytest.raises(ParameterError):

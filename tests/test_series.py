@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from touchardstar import (
+    DiskGrid,
     InvalidOrder,
     OutOfDisk,
     ParameterError,
@@ -22,6 +23,7 @@ from touchardstar import (
     apply_operator_I,
     apply_operator_L,
     evaluate,
+    evaluate_rings,
     hadamard,
     series_from_csv,
     series_to_csv,
@@ -290,6 +292,61 @@ class TestEvaluate:
             lin -= 1.0
         got = evaluate(combined, z, order)
         assert got == pytest.approx(lin, abs=1e-13 * max(1.0, abs(lin)))
+
+
+def power_coeffs(f, order):
+    """Coefficients of z**0, z**1, ... in f, f' or f'', from the definition."""
+    a = [0.0] + [float(c) for c in f.coeffs]  # a[n] is the coefficient of z**n
+    return np.array([math.perm(j + order, order) * a[j + order]
+                     for j in range(len(a) - order)])
+
+
+class TestEvaluateRings:
+    """One inverse DFT per scan against Horner at every point of the grid."""
+
+    @staticmethod
+    def assert_matches_horner(f, radii, angles):
+        # Complex Horner at a rounded point errs by about 6 N u S (N terms,
+        # S = sum_j |c_j| r**j); scaling, folding and a length-K FFT add
+        # O(log2 K) u S, so the two agree within 8 (N + log2 K + 1) u S.
+        grid = DiskGrid(radii, angles)
+        rings = evaluate_rings(f, grid.radii, angles, (0, 1, 2))
+        assert rings.shape == (3, len(grid.radii), angles)
+        for order, got in enumerate(rings):
+            c = np.abs(power_coeffs(f, order))
+            scale = np.array([np.sum(c * r ** np.arange(c.size)) for r in grid.radii])
+            bound = 8 * (c.size + math.log2(angles) + 1) * 2.0**-53 * scale
+            err = np.abs(got - evaluate(f, grid.points(), order).reshape(got.shape))
+            assert np.all(err <= bound[:, None])
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), max_size=70),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+        st.sampled_from([1, 7, 40, 96, 128]),
+    )
+    def test_random_series_match_horner(self, tail, radii, angles):
+        self.assert_matches_horner(TruncatedSeries([1.0] + tail), radii, angles)
+
+    @pytest.mark.parametrize("angles", [1, 7, 40, 96, 128])
+    def test_order_64_folds_onto_any_ring_size(self, angles):
+        f = touchard_series(TouchardParams(2, 3.0), 64)
+        self.assert_matches_horner(f, (0.3, 0.7, 0.95), angles)
+
+    def test_single_ring_single_angle_is_the_real_value(self):
+        f = touchard_series(TouchardParams(1, 0.8), 64)
+        got = evaluate_rings(f, [0.5], 1, (0, 1, 2))[:, 0, 0]
+        assert got.tolist() == pytest.approx([evaluate(f, 0.5, d) for d in (0, 1, 2)],
+                                             rel=1e-14)
+
+    def test_validation(self):
+        f = TruncatedSeries([1.0, 0.1])
+        with pytest.raises(OutOfDisk):
+            evaluate_rings(f, [0.5, 1.0], 8)
+        for angles in (0, True, 2.5):
+            with pytest.raises(ParameterError):
+                evaluate_rings(f, [0.5], angles)
+        with pytest.raises(ParameterError):
+            evaluate_rings(f, [0.5], 8, (0, 3))
 
 
 class TestSeriesCsv:
