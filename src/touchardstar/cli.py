@@ -22,12 +22,13 @@ from .criteria import (
     lemma_sum_M,
     lemma_sum_N,
 )
-from .disk import DiskGrid, samples_to_csv, verify_M, verify_N, verify_rtau
 from .errors import NumericFailure, ParameterError
-from .explore import criterion_value, find_threshold, sweep
+from .explore import CRITERION_NAMES, criterion_value, find_threshold, sweep
 from .formats import canonical_json, human_lines, one_line_csv
 from .moments import TouchardParams, poisson_moment_closed, poisson_moment_series
-from .series import series_from_csv, series_to_csv, touchard_series
+
+# The series and disk modules need numpy; the handlers that use them import
+# them when they run, so the closed-form subcommands start without it.
 
 _FORMATS = ("json", "csv", "human")
 
@@ -60,6 +61,8 @@ def _emit(args, record: dict, csv_fields=None) -> None:
 
 
 def _load_series(args):
+    from .series import series_from_csv, touchard_series
+
     if args.touchard is not None:
         l, m = args.touchard
         tp = TouchardParams(_int_like(l, "l"), m)
@@ -140,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-theorem",
                        help="closed-form membership criterion for the kernel/operators")
-    p.add_argument("--which", choices=("M", "N", "rtau", "integral"), required=True)
+    p.add_argument("--which", choices=tuple(CRITERION_NAMES), required=True)
     p.add_argument("--l", type=float, required=True, help="integer moment order")
     p.add_argument("--m", type=float, required=True, help="Poisson parameter")
     _add_class_flags(p)
@@ -149,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_theorem)
 
     p = sub.add_parser("threshold", help="membership threshold m* for fixed (l, lambda, alpha)")
-    p.add_argument("--which", choices=("M", "N", "rtau", "integral"), required=True)
+    p.add_argument("--which", choices=tuple(CRITERION_NAMES), required=True)
     p.add_argument("--l", type=float, required=True, help="integer moment order")
     _add_class_flags(p)
     _add_rtau_flags(p)
@@ -204,6 +207,8 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    from .series import series_to_csv, touchard_series
+
     tp = TouchardParams(_int_like(args.l, "l"), args.m)
     f = touchard_series(tp, args.order)
     if args.format == "json":
@@ -251,6 +256,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify_disk(args) -> int:
+    from .disk import DiskGrid, samples_to_csv, verify_M, verify_N, verify_rtau
+
     f = _load_series(args)
     grid = DiskGrid.uniform(args.rmax, args.rings, args.angles)
     keep = args.dump_samples is not None
@@ -283,7 +290,10 @@ def _cmd_verify_disk(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    try:
+        spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ParameterError(f"sweep spec {args.spec} is not valid JSON: {exc}") from None
     if not isinstance(spec, dict) or "criterion" not in spec:
         raise ParameterError('sweep spec must be a JSON object with a "criterion" key')
     which = spec.pop("criterion")

@@ -33,12 +33,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NegativeCoefficient, NumericFailure, ParameterError
 from .moments import TouchardParams, tail_kernel
-from .series import TruncatedSeries, touchard_series
+
+if TYPE_CHECKING:
+    from .series import TruncatedSeries
 
 #: Slack used on the "value <= bound" comparison so boundary cases where the
 #: sum equals alpha - 1 exactly are not flipped by the last rounding.
@@ -74,6 +75,8 @@ class ClassParams:
 
         Accepts a scalar or an ndarray of indices.
         """
+        import numpy as np
+
         n = np.asarray(n, dtype=float)
         w = n - (1.0 + n * self.lam - self.lam) * self.alpha
         return w if w.ndim else float(w)
@@ -145,6 +148,8 @@ def _verdict(value: float, p: ClassParams, method: str, detail: str) -> Membersh
 
 
 def _coefficient_sum(f: TruncatedSeries, p: ClassParams, convex: bool) -> MembershipReport:
+    import numpy as np
+
     if not f.nonneg:
         raise NegativeCoefficient(
             "coefficient criteria apply to series flagged nonnegative from n = 2 on"
@@ -255,9 +260,13 @@ def theorem_integral_operator(tp: TouchardParams, p: ClassParams) -> MembershipR
 
 def brute_force_M(tp: TouchardParams, p: ClassParams, order: int = 64) -> MembershipReport:
     """Truncated coefficient-sum counterpart of :func:`theorem_M_lhs`."""
+    from .series import touchard_series  # numpy-backed, so loaded on first use
+
     return lemma_sum_M(touchard_series(tp, order), p)
 
 
 def brute_force_N(tp: TouchardParams, p: ClassParams, order: int = 64) -> MembershipReport:
     """Truncated coefficient-sum counterpart of :func:`theorem_N_lhs`."""
+    from .series import touchard_series  # numpy-backed, so loaded on first use
+
     return lemma_sum_N(touchard_series(tp, order), p)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .criteria import (
     ALPHA_MAX,
     TOL_EQ,
@@ -184,9 +182,12 @@ class SweepTable:
         return rows_csv(self.columns, self.rows)
 
 
-def _checked(make, axes, trailing=0) -> np.ndarray:
-    """``make(*point)`` over the product of ``axes``, shaped like that product
-    plus ``trailing`` unit axes; NaN where ``make`` rejects the point."""
+def _checked(make, axes, trailing=0):
+    """``make(*point)`` over the product of ``axes`` as an ndarray shaped like
+    that product plus ``trailing`` unit axes; NaN where ``make`` rejects the
+    point."""
+    import numpy as np
+
     out = []
     for point in itertools.product(*axes):
         try:
@@ -194,6 +195,16 @@ def _checked(make, axes, trailing=0) -> np.ndarray:
         except _BAD_PARAMS:
             out.append(np.nan)
     return np.array(out, dtype=float).reshape([len(a) for a in axes] + [1] * trailing)
+
+
+def _axis(name: str, values) -> list:
+    """A sweep axis as a list; a string or a single value is not an axis."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return list(values)
+        except TypeError:  # not iterable
+            pass
+    raise ParameterError(f"sweep axis {name!r} must be a list of values, got {values!r}")
 
 
 def _tau_cell(t) -> str:
@@ -220,7 +231,9 @@ def sweep(which: str, grid: dict) -> SweepTable:
     call to the closed form the scalar criteria use, so every row holds what
     :func:`criterion_value` returns or raises at its point, bit for bit.
     """
-    if which not in CRITERION_NAMES:
+    import numpy as np
+
+    if not isinstance(which, str) or which not in CRITERION_NAMES:
         raise ParameterError(f"unknown criterion {which!r}; expected M, N, rtau or integral")
     needs_rtau = which == "rtau"
     param_names = [n for n in _PARAM_ORDER if n in ("l", "m", "lambda", "alpha")
@@ -232,7 +245,7 @@ def sweep(which: str, grid: dict) -> SweepTable:
     if unknown:
         raise ParameterError(f"sweep grid has unexpected keys: {', '.join(unknown)}")
 
-    axes = [list(grid[n]) for n in param_names]
+    axes = [_axis(n, grid[n]) for n in param_names]
     # one l's block: m, lambda, alpha (and tau, A, B), each along its own axis
     dims = len(axes) - 1
     m = _checked(lambda m: TouchardParams(0, m).m, axes[1:2], dims - 1)

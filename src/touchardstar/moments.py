@@ -26,8 +26,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidIndex, NoConvergence, OrderTooLarge, ParameterError
 
 #: Largest moment order kept in the exact Stirling table.  Values for l <= 64
@@ -55,8 +53,7 @@ class TouchardParams:
 
     def __post_init__(self) -> None:
         _check_m(self.m)
-        if not (_is_order(self.l) and math.isfinite(self.l) and self.l >= 0):
-            raise ParameterError(f"moment order l must be a nonnegative finite real, got {self.l!r}")
+        _check_real_order(self.l)
 
     @property
     def integer_order(self) -> int:
@@ -87,22 +84,26 @@ class MomentValue:
         }
 
 
-def _is_order(l) -> bool:
-    return isinstance(l, (int, float, numbers.Integral)) and not isinstance(l, bool)
+def _check_real_order(l) -> float:
+    """``l`` as a float; it must be a nonnegative finite real but not a bool."""
+    try:
+        ok = (isinstance(l, (int, float, numbers.Integral)) and not isinstance(l, bool)
+              and math.isfinite(l) and l >= 0)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise ParameterError(f"moment order l must be a nonnegative finite real, got {l!r}")
+    return float(l)
 
 
 def _as_integer_order(l) -> int:
-    if not _is_order(l):
-        raise ParameterError(f"moment order must be numeric, got {l!r}")
+    _check_real_order(l)
     if isinstance(l, float) and not l.is_integer():
         raise ParameterError(
             f"closed-form path takes integer moment orders only, got l={l!r} "
             "(use the series path for real orders)"
         )
-    l = int(l)
-    if l < 0:
-        raise ParameterError(f"moment order must be nonnegative, got {l}")
-    return l
+    return int(l)
 
 
 def _check_m(m: float) -> float:
@@ -154,15 +155,19 @@ def tail_kernel(l: int, m, *, l_max: int = L_MAX):
 
     ``m`` is a positive float or an ndarray of them, not validated here.
     l >= 1 gives T_l(m) by Horner's rule over the float Stirling row, l = 0
-    gives 1 - exp(-m) by ``np.expm1`` (``math.expm1`` can differ in the last
-    bit).  A float m gives a float, and each element of an array result is
-    bit for bit the scalar result for that m.
+    gives 1 - exp(-m) by ``math.expm1``, elementwise for an array.  A float
+    m gives a float, and each element of an array result is bit for bit the
+    scalar result for that m.
     """
     if l > l_max:
         raise OrderTooLarge(f"order l={l} exceeds the exact-arithmetic cap {l_max}")
     if l == 0:
-        tail = -np.expm1(-m)
-        return float(tail) if isinstance(m, float) else tail
+        if isinstance(m, (float, int)):
+            return -math.expm1(-m)
+        import numpy as np  # only array callers reach this, and they have numpy loaded
+
+        tails = map(math.expm1, (-m).ravel().tolist())
+        return -np.fromiter(tails, float, m.size).reshape(m.shape)
     if l not in _HORNER_ROWS:
         _HORNER_ROWS[l] = tuple(float(stirling2(l, k, l_max=l_max)) for k in range(l, -1, -1))
     row = _HORNER_ROWS[l]
@@ -203,8 +208,7 @@ def poisson_moment_series(
     when l = 0 and nothing when l > 0.
     """
     m = _check_m(m)
-    if not (isinstance(l, (int, float)) and math.isfinite(l) and l >= 0):
-        raise ParameterError(f"moment order must be a nonnegative real, got {l!r}")
+    l = _check_real_order(l)
     if not (tol > 0):
         raise ParameterError(f"tolerance must be positive, got {tol!r}")
     scale = math.exp(-m)

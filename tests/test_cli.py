@@ -392,3 +392,35 @@ class TestEntryPoint:
         assert proc.returncode == 0
         json.loads(proc.stdout)  # stdout is pure data
         assert "experimental" in proc.stderr
+
+
+class TestMalformedSweepSpecExitsTwo:
+    @pytest.mark.parametrize("text, message", [
+        ('{"criterion": "M", "l": [0', "not valid JSON"),
+        ('{"criterion": "M", "l": 3, "m": [1.0], "lambda": [0.1], "alpha": [1.2]}',
+         "sweep axis 'l'"),
+        ('{"criterion": ["M"], "l": [3], "m": [1.0], "lambda": [0.1], "alpha": [1.2]}',
+         "unknown criterion"),
+        ('{"criterion": "M", "l": "03", "m": [1.0], "lambda": [0.1], "alpha": [1.2]}',
+         "sweep axis 'l'"),
+    ], ids=["truncated", "scalar-axis", "list-criterion", "string-axis"])
+    def test_malformed_spec(self, capsys, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["sweep", "--spec", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_spec_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, ["sweep", "--spec", str(path)])
+        assert code == 2 and "not valid JSON" in err
+
+    def test_no_traceback_in_a_child(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"criterion": "M", "l": [0', encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "touchardstar", "sweep", "--spec",
+                               str(path)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr

@@ -330,3 +330,29 @@ class TestSweepMatchesScalarPath:
         assert all(r["status"] == "ok" for r in arange.rows)
         assert [r["criterion_value"] for r in arange.rows] == \
             [r["criterion_value"] for r in plain.rows]
+
+
+class TestMalformedSweepSpec:
+    GRID = {"l": [0, 3], "m": [1.0], "lambda": [0.1], "alpha": [1.2]}
+
+    @pytest.mark.parametrize("which", [["M"], None, 3, b"M"])
+    def test_criterion_that_is_not_a_string(self, which):
+        with pytest.raises(ParameterError, match="unknown criterion"):
+            sweep(which, self.GRID)
+
+    @pytest.mark.parametrize("values", [3, 1.5, None, "03", b"03", "l"])
+    @pytest.mark.parametrize("name", ["l", "m", "lambda", "alpha"])
+    def test_axis_that_is_not_a_list(self, name, values):
+        with pytest.raises(ParameterError, match=f"sweep axis '{name}'"):
+            sweep("M", {**self.GRID, name: values})
+
+    def test_rtau_axis_that_is_not_a_list(self):
+        grid = {**self.GRID, "tau": "1+1j", "A": [1.0], "B": [-1.0]}
+        with pytest.raises(ParameterError, match="sweep axis 'tau'"):
+            sweep("rtau", grid)
+
+    @pytest.mark.parametrize("l", [(0, 3), range(0, 4, 3), np.array([0, 3]), [0, 3]])
+    def test_sequences_accepted(self, l):
+        rows = sweep("M", {**self.GRID, "l": l}).rows
+        assert [r["l"] for r in rows] == [0, 3]
+        assert [r["status"] for r in rows] == ["ok", "ok"]

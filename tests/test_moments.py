@@ -10,6 +10,7 @@ Oracles used here:
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -312,3 +313,37 @@ class TestNumpyIntegerOrders:
             TouchardParams(True, 1.0)
         with pytest.raises(ParameterError):
             poisson_moment_closed(True, 1.0)
+
+
+class TestHugeIntegerOrder:
+    @pytest.mark.parametrize("l", [10**400, -(10**400)])
+    def test_parameter_error_not_overflow(self, l):
+        with pytest.raises(ParameterError):
+            TouchardParams(l, 1.0)
+        with pytest.raises(ParameterError):
+            poisson_moment_series(l, 1.0)
+        with pytest.raises(ParameterError):
+            poisson_moment_closed(l, 1.0)
+
+    def test_series_order_types(self):
+        with pytest.raises(ParameterError):
+            poisson_moment_series(True, 1.0)
+        value = poisson_moment_series(np.int64(2), 0.5).value
+        assert type(value) is float and value == poisson_moment_series(2, 0.5).value
+
+
+class TestOrderZeroTail:
+    @given(m=st.floats(2.0**-30, 2.0**10))
+    def test_within_two_units_of_mpmath(self, m):
+        with mpmath.workprec(200):
+            exact = 1 - mpmath.exp(-mpmath.mpf(m))
+            error = abs(mpmath.mpf(tail_kernel(0, m)) - exact) / exact
+        assert error <= 2 * 2.0**-53
+
+    def test_math_expm1_for_scalars_and_arrays(self):
+        ms = [2.0**-30, 1e-8, 0.5, 1.0, 37.0, 1000.0]
+        assert [tail_kernel(0, m) for m in ms] == [-math.expm1(-m) for m in ms]
+        values = tail_kernel(0, np.array(ms).reshape(2, 3, 1))
+        assert values.shape == (2, 3, 1) and values.dtype == float
+        assert values.ravel().tolist() == [-math.expm1(-m) for m in ms]
+        assert tail_moment(0, 2.0) == -math.expm1(-2.0)
