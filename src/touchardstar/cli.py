@@ -16,14 +16,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .criteria import (
-    ClassParams,
-    RTauParams,
-    lemma_sum_M,
-    lemma_sum_N,
-)
+from .criteria import CRITERIA, ClassParams, RTauParams, lemma_sum_M, lemma_sum_N
 from .errors import NumericFailure, ParameterError
-from .explore import CRITERION_NAMES, criterion_value, find_threshold, sweep
+from .explore import criterion_value, find_threshold, sweep
 from .formats import canonical_json, human_lines, one_line_csv
 from .moments import TouchardParams, poisson_moment_closed, poisson_moment_series
 
@@ -31,6 +26,9 @@ from .moments import TouchardParams, poisson_moment_closed, poisson_moment_serie
 # them when they run, so the closed-form subcommands start without it.
 
 _FORMATS = ("json", "csv", "human")
+
+#: check-class --class choices: the coefficient-sum test of each class.
+_CLASS_TESTS = {"Mstar": lemma_sum_M, "Nstar": lemma_sum_N}
 
 
 def _parse_alpha(text: str) -> float:
@@ -51,11 +49,13 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected a complex number like 1, -0.5 or 1+2j, got {text!r}")
 
 
-def _emit(args, record: dict, csv_fields=None) -> None:
+def _emit(args, record: dict, flat: dict | None = None) -> None:
+    """Print ``record`` in the chosen format; csv prints ``flat`` (no nesting) if given."""
     if args.format == "json":
         print(canonical_json(record))
     elif args.format == "csv":
-        sys.stdout.write(one_line_csv(csv_fields or list(record), record))
+        flat = flat or record
+        sys.stdout.write(one_line_csv(list(flat), flat))
     else:
         sys.stdout.write(human_lines(record))
 
@@ -64,17 +64,9 @@ def _load_series(args):
     from .series import series_from_csv, touchard_series
 
     if args.touchard is not None:
-        l, m = args.touchard
-        tp = TouchardParams(_int_like(l, "l"), m)
-        return touchard_series(tp, args.order)
+        return touchard_series(TouchardParams(*args.touchard), args.order)
     text = Path(args.series).read_text(encoding="utf-8")
     return series_from_csv(text)
-
-
-def _int_like(x: float, name: str) -> int:
-    if float(x).is_integer():
-        return int(x)
-    raise ParameterError(f"{name} must be an integer, got {x!r}")
 
 
 def _add_class_flags(p: argparse.ArgumentParser) -> None:
@@ -84,11 +76,10 @@ def _add_class_flags(p: argparse.ArgumentParser) -> None:
                    help="class order in (1, 4/3]; the literal 4/3 is accepted")
 
 
-def _add_rtau_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
-    p.add_argument("--tau", type=_parse_complex, required=required,
-                   help="nonzero complex tau of the distortion class")
-    p.add_argument("--A", type=float, required=required, help="upper distortion parameter")
-    p.add_argument("--B", type=float, required=required, help="lower distortion parameter")
+def _add_rtau_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tau", type=_parse_complex, help="nonzero complex tau of the distortion class")
+    p.add_argument("--A", type=float, help="upper distortion parameter")
+    p.add_argument("--B", type=float, help="lower distortion parameter")
 
 
 def _add_format_flag(p: argparse.ArgumentParser, default: str = "json") -> None:
@@ -96,10 +87,10 @@ def _add_format_flag(p: argparse.ArgumentParser, default: str = "json") -> None:
                    help=f"output format (default {default})")
 
 
-def _rtau_from_args(args) -> RTauParams:
-    if args.tau is None or args.A is None or args.B is None:
-        raise ParameterError("criterion rtau needs --tau, --A and --B")
-    return RTauParams(args.tau, args.A, args.B)
+def _rtau_from_args(args) -> RTauParams | None:
+    """(tau, A, B) for the criterion that takes them (RTauParams rejects a
+    missing flag), None for the others."""
+    return RTauParams(args.tau, args.A, args.B) if CRITERIA[args.which].needs_rtau else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-class",
                        help="coefficient-sum membership test for a series")
-    p.add_argument("--class", dest="klass", choices=("Mstar", "Nstar"), required=True,
+    p.add_argument("--class", dest="klass", choices=tuple(_CLASS_TESTS), required=True,
                    help="Mstar = starlike type, Nstar = convex type")
     _add_class_flags(p)
     src = p.add_mutually_exclusive_group(required=True)
@@ -143,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-theorem",
                        help="closed-form membership criterion for the kernel/operators")
-    p.add_argument("--which", choices=tuple(CRITERION_NAMES), required=True)
+    p.add_argument("--which", choices=tuple(CRITERIA), required=True)
     p.add_argument("--l", type=float, required=True, help="integer moment order")
     p.add_argument("--m", type=float, required=True, help="Poisson parameter")
     _add_class_flags(p)
@@ -152,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_theorem)
 
     p = sub.add_parser("threshold", help="membership threshold m* for fixed (l, lambda, alpha)")
-    p.add_argument("--which", choices=tuple(CRITERION_NAMES), required=True)
+    p.add_argument("--which", choices=tuple(CRITERIA), required=True)
     p.add_argument("--l", type=float, required=True, help="integer moment order")
     _add_class_flags(p)
     _add_rtau_flags(p)
@@ -161,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("verify-disk", help="sample the defining analytic condition on the disk")
-    p.add_argument("--which", choices=("M", "N", "rtau"), required=True)
+    p.add_argument("--which", choices=tuple(w for w, c in CRITERIA.items() if c.disk),
+                   required=True)
     p.add_argument("--lambda", dest="lam", type=float, help="class parameter (M/N only)")
     p.add_argument("--alpha", type=_parse_alpha, help="class order (M/N only)")
     _add_rtau_flags(p)
@@ -196,21 +188,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_moment(args) -> int:
     if args.series:
-        if args.l != int(args.l):
+        mv = poisson_moment_series(args.l, args.m, args.tol)
+        if not args.l.is_integer():  # l is finite once the series accepted it
             print("note: non-integer moment order is experimental; series summation only",
                   file=sys.stderr)
-        mv = poisson_moment_series(args.l, args.m, args.tol)
     else:
-        mv = poisson_moment_closed(_int_like(args.l, "l"), args.m)
-    _emit(args, mv.to_dict(), ["value", "method", "truncation_terms", "tail_bound"])
+        mv = poisson_moment_closed(args.l, args.m)
+    _emit(args, mv.to_dict())
     return 0
 
 
 def _cmd_coeffs(args) -> int:
     from .series import series_to_csv, touchard_series
 
-    tp = TouchardParams(_int_like(args.l, "l"), args.m)
-    f = touchard_series(tp, args.order)
+    f = touchard_series(TouchardParams(args.l, args.m), args.order)
     if args.format == "json":
         print(canonical_json({"order": f.order, "coeffs": [float(c) for c in f.coeffs]}))
     else:
@@ -219,73 +210,58 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_check_class(args) -> int:
-    f = _load_series(args)
-    p = ClassParams(args.lam, args.alpha)
-    report = lemma_sum_M(f, p) if args.klass == "Mstar" else lemma_sum_N(f, p)
-    _emit(args, report.to_dict(), report.csv_fields())
+    report = _CLASS_TESTS[args.klass](_load_series(args), ClassParams(args.lam, args.alpha))
+    _emit(args, report.to_dict())
     return 0
 
 
 def _cmd_check_theorem(args) -> int:
-    rt = _rtau_from_args(args) if args.which == "rtau" else None
-    report = criterion_value(args.which, _int_like(args.l, "l"), args.m,
-                             ClassParams(args.lam, args.alpha), rt)
-    _emit(args, report.to_dict(), report.csv_fields())
+    report = criterion_value(args.which, args.l, args.m, ClassParams(args.lam, args.alpha),
+                             _rtau_from_args(args))
+    _emit(args, report.to_dict())
     return 0
 
 
 def _cmd_threshold(args) -> int:
-    rt = _rtau_from_args(args) if args.which == "rtau" else None
-    result = find_threshold(args.which, _int_like(args.l, "l"),
-                            ClassParams(args.lam, args.alpha), rt, tol_m=args.tol_m)
-    record = result.to_dict()
-    if args.format == "csv":
-        flat = {
-            "m_star": result.m_star,
-            "bracket_lo": result.bracket[0],
-            "bracket_hi": result.bracket[1],
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "criterion": result.criterion,
-            "warnings": ";".join(result.warnings),
-        }
-        _emit(args, flat, list(flat))
-    else:
-        _emit(args, record)
+    result = find_threshold(args.which, args.l, ClassParams(args.lam, args.alpha),
+                            _rtau_from_args(args), tol_m=args.tol_m)
+    _emit(args, result.to_dict(), {
+        "m_star": result.m_star,
+        "bracket_lo": result.bracket[0],
+        "bracket_hi": result.bracket[1],
+        "residual": result.residual,
+        "iterations": result.iterations,
+        "criterion": result.criterion,
+        "warnings": ";".join(result.warnings),
+    })
     return 0
 
 
 def _cmd_verify_disk(args) -> int:
-    from .disk import DiskGrid, samples_to_csv, verify_M, verify_N, verify_rtau
+    from . import disk
 
     f = _load_series(args)
-    grid = DiskGrid.uniform(args.rmax, args.rings, args.angles)
+    grid = disk.DiskGrid.uniform(args.rmax, args.rings, args.angles)
     keep = args.dump_samples is not None
-    if args.which == "rtau":
-        report = verify_rtau(f, _rtau_from_args(args), grid, keep_samples=keep)
-    else:
+    params = _rtau_from_args(args)
+    if params is None:
         if args.lam is None or args.alpha is None:
-            raise ParameterError("verify-disk for M/N needs --lambda and --alpha")
-        p = ClassParams(args.lam, args.alpha)
-        verify = verify_M if args.which == "M" else verify_N
-        report = verify(f, p, grid, keep_samples=keep)
+            raise ParameterError(f"verify-disk for {args.which} needs --lambda and --alpha")
+        params = ClassParams(args.lam, args.alpha)
+    report = getattr(disk, CRITERIA[args.which].disk)(f, params, grid, keep_samples=keep)
     if keep:
-        Path(args.dump_samples).write_text(samples_to_csv(grid, report), encoding="utf-8")
+        Path(args.dump_samples).write_text(disk.samples_to_csv(grid, report), encoding="utf-8")
         print(f"wrote per-sample values to {args.dump_samples}", file=sys.stderr)
     record = report.to_dict()
-    if args.format == "csv":
-        arg = record["arg_of_max"]
-        flat = {
-            "max_real_part": record["max_real_part"],
-            "arg_re": None if arg is None else arg["re"],
-            "arg_im": None if arg is None else arg["im"],
-            "violations": record["violations"],
-            "samples": record["samples"],
-            "degenerate_samples": record["degenerate_samples"],
-        }
-        _emit(args, flat, list(flat))
-    else:
-        _emit(args, record)
+    arg = record["arg_of_max"] or {"re": None, "im": None}
+    _emit(args, record, {
+        "max_real_part": record["max_real_part"],
+        "arg_re": arg["re"],
+        "arg_im": arg["im"],
+        "violations": record["violations"],
+        "samples": record["samples"],
+        "degenerate_samples": record["degenerate_samples"],
+    })
     return 0
 
 

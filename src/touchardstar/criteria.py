@@ -25,18 +25,27 @@ bounded Moebius-type distortion (the (tau, A, B) class, with the sharp
 coefficient bound (A-B)|tau|/n) scales the starlike-type closed form by
 (A-B)|tau|: the 1/n of the bound cancels the extra n of the convex-type
 weight.  The same cancellation makes the integral transform's convex-type
-criterion identical to the kernel's starlike-type criterion.
+criterion identical to the kernel's starlike-type criterion.  The closed
+forms are listed once, in :data:`CRITERIA`, which every caller reads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NegativeCoefficient, NumericFailure, ParameterError
-from .moments import TouchardParams, tail_kernel
+from .moments import (
+    TouchardParams,
+    _as_integer_order,
+    _check_m,
+    _integer,
+    _real,
+    _real_check,
+    tail_kernel,
+)
 
 if TYPE_CHECKING:
     from .series import TruncatedSeries
@@ -47,9 +56,41 @@ TOL_EQ = 1e-12
 
 METHOD_CLOSED = "closed_form"
 METHOD_COEFF = "coefficient_sum"
-METHOD_DISK = "disk_sampled"
 
 ALPHA_MAX = 4.0 / 3.0
+
+
+class Criterion(NamedTuple):
+    """A closed-form criterion: its threshold-result label, its report
+    ``detail``, the :mod:`disk` function sampling its analytic condition
+    ("" for none) and whether it takes (tau, A, B)."""
+
+    label: str
+    detail: str
+    disk: str = ""
+    needs_rtau: bool = False
+
+
+_TAILS = "closed form via shifted moment tails"
+
+#: The closed-form criteria by name, in the order the command line lists them.
+CRITERIA = {
+    "M": Criterion("M_theorem", _TAILS, "verify_M"),
+    "N": Criterion("N_theorem", _TAILS, "verify_N"),
+    "rtau": Criterion(
+        "rtau",
+        "sufficient condition: (A-B)|tau| times the starlike-type closed form "
+        "(the 1/n of the sharp coefficient bound cancels the n of the convex-type weight)",
+        "verify_rtau", needs_rtau=True),
+    "integral": Criterion(
+        "integral",
+        "1/n coefficient of the integral transform cancels the n of the convex-type weight; "
+        "value identical to the starlike-type criterion"),
+}
+
+
+_check_lam = _real_check(lambda lam: 0 <= lam < 1, "lambda must lie in [0, 1)")
+_check_alpha = _real_check(lambda alpha: 1 < alpha <= ALPHA_MAX, "alpha must lie in (1, 4/3]")
 
 
 @dataclass(frozen=True)
@@ -60,10 +101,8 @@ class ClassParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lam, (int, float)) and 0 <= self.lam < 1):
-            raise ParameterError(f"lambda must lie in [0, 1), got {self.lam!r}")
-        if not (isinstance(self.alpha, (int, float)) and 1 < self.alpha <= ALPHA_MAX):
-            raise ParameterError(f"alpha must lie in (1, 4/3], got {self.alpha!r}")
+        object.__setattr__(self, "lam", _check_lam(self.lam))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
     @property
     def bound(self) -> float:
@@ -91,12 +130,18 @@ class RTauParams:
     B: float
 
     def __post_init__(self) -> None:
-        tau = complex(self.tau)
-        if tau == 0 or not (cmath.isfinite(tau)):
+        try:
+            tau = complex(self.tau)  # a string such as "1+2j" parses too
+        except (TypeError, ValueError, OverflowError):
+            tau = 0j
+        if tau == 0 or isinstance(self.tau, bool) or not cmath.isfinite(tau):
             raise ParameterError(f"tau must be a nonzero finite complex number, got {self.tau!r}")
-        object.__setattr__(self, "tau", tau)
-        if not (-1 <= self.B < self.A <= 1):
+        A, B = _real(self.A), _real(self.B)
+        if not -1 <= B < A <= 1:
             raise ParameterError(f"need -1 <= B < A <= 1, got A={self.A!r}, B={self.B!r}")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def gain(self) -> float:
@@ -122,17 +167,7 @@ class MembershipReport:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "criterion_value": self.criterion_value,
-            "bound": self.bound,
-            "member": self.member,
-            "method": self.method,
-            "detail": self.detail,
-        }
-
-    @staticmethod
-    def csv_fields() -> list[str]:
-        return ["criterion_value", "bound", "member", "method", "detail"]
+        return asdict(self)
 
 
 def _verdict(value: float, p: ClassParams, method: str, detail: str) -> MembershipReport:
@@ -190,35 +225,36 @@ def closed_form(which: str, l: int, m, lam, alpha, gain=1.0):
     (1 - alpha*lam) tail(l+1) + (1 - alpha) tail(l), N is (1 - alpha*lam)
     tail(l+2) + (2 - alpha*lam - alpha) tail(l+1) + (1 - alpha) tail(l).
     tail(0, m) = 1 - exp(-m) and tail(l, m) = mu_l for l >= 1, so l = 0
-    needs no branch.  integral equals M and rtau is gain = (A-B)|tau| times M.
-    The theorem functions below report a value that is not finite (overflow)
-    as a NumericFailure.
+    needs no branch.  integral equals M and rtau is gain = (A-B)|tau| times M
+    (M and integral take gain 1, which changes no bit).  The theorem
+    functions below report a value that is not finite (overflow) as a
+    NumericFailure.
     """
     if which == "N":
         return ((1.0 - alpha * lam) * tail_kernel(l + 2, m)
                 + (2.0 - alpha * lam - alpha) * tail_kernel(l + 1, m)
                 + (1.0 - alpha) * tail_kernel(l, m))
-    value = (1.0 - alpha * lam) * tail_kernel(l + 1, m) + (1.0 - alpha) * tail_kernel(l, m)
-    return gain * value if which == "rtau" else value
+    return gain * ((1.0 - alpha * lam) * tail_kernel(l + 1, m) + (1.0 - alpha) * tail_kernel(l, m))
+
+
+def _closed(which: str, l, m, p: ClassParams, gain=1.0) -> MembershipReport:
+    value = closed_form(which, _as_integer_order(l), _check_m(m), p.lam, p.alpha, gain)
+    return _verdict(value, p, METHOD_CLOSED, CRITERIA[which].detail)
 
 
 def theorem_M_lhs(tp: TouchardParams, p: ClassParams) -> MembershipReport:
     """Closed form of the starlike-type criterion for the Poisson-weighted kernel."""
-    value = closed_form("M", tp.integer_order, float(tp.m), p.lam, p.alpha)
-    return _verdict(value, p, METHOD_CLOSED, "closed form via shifted moment tails")
+    return _closed("M", tp.l, tp.m, p)
 
 
 def theorem_N_lhs(tp: TouchardParams, p: ClassParams) -> MembershipReport:
     """Closed form of the convex-type criterion for the Poisson-weighted kernel."""
-    value = closed_form("N", tp.integer_order, float(tp.m), p.lam, p.alpha)
-    return _verdict(value, p, METHOD_CLOSED, "closed form via shifted moment tails")
+    return _closed("N", tp.l, tp.m, p)
 
 
 def rtau_coeff_bound(n: int, r: RTauParams) -> float:
     """Sharp bound (A-B)|tau|/n on |a_n| for the derivative-distortion class."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ParameterError(f"coefficient index must be an integer >= 2, got {n!r}")
-    return r.gain / n
+    return r.gain / _integer(n, 2, "coefficient index")
 
 
 def theorem_rtau_inclusion(
@@ -232,14 +268,7 @@ def theorem_rtau_inclusion(
     upper envelope, so the extremal coefficient sequence need not belong to
     the class itself.
     """
-    value = closed_form("rtau", tp.integer_order, float(tp.m), p.lam, p.alpha, r.gain)
-    return _verdict(
-        value,
-        p,
-        METHOD_CLOSED,
-        "sufficient condition: (A-B)|tau| times the starlike-type closed form "
-        "(the 1/n of the sharp coefficient bound cancels the n of the convex-type weight)",
-    )
+    return _closed("rtau", tp.l, tp.m, p, r.gain)
 
 
 def theorem_integral_operator(tp: TouchardParams, p: ClassParams) -> MembershipReport:
@@ -249,13 +278,7 @@ def theorem_integral_operator(tp: TouchardParams, p: ClassParams) -> MembershipR
     the convex-type weight, so the value (and the verdict) is identical to
     the kernel's starlike-type criterion.
     """
-    return _verdict(
-        closed_form("integral", tp.integer_order, float(tp.m), p.lam, p.alpha),
-        p,
-        METHOD_CLOSED,
-        "1/n coefficient of the integral transform cancels the n of the convex-type weight; "
-        "value identical to the starlike-type criterion",
-    )
+    return _closed("integral", tp.l, tp.m, p)
 
 
 def brute_force_M(tp: TouchardParams, p: ClassParams, order: int = 64) -> MembershipReport:

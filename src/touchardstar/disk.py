@@ -23,7 +23,8 @@ import numpy as np
 
 from .criteria import ClassParams, RTauParams
 from .errors import ParameterError
-from .series import TruncatedSeries, _positive_int, evaluate_rings
+from .moments import _integer
+from .series import TruncatedSeries, evaluate_rings
 
 #: Margin on the violation comparison: a sample counts as a violation when
 #: the tested real part (or modulus) reaches bound - TOL_V.
@@ -47,14 +48,14 @@ class DiskGrid:
             raise ParameterError("grid radii must be a nonempty list inside (0, 1)")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angles_per_ring",
-                           _positive_int(self.angles_per_ring, "angles_per_ring"))
+                           _integer(self.angles_per_ring, 1, "angles_per_ring"))
 
     @classmethod
     def uniform(cls, r_max: float = 0.95, rings: int = 19, angles: int = 96) -> "DiskGrid":
         """Radii r_max * k/rings for k = 1..rings (defaults give 0.05, 0.10, ..., 0.95)."""
         if not (0.0 < r_max < 1.0):
             raise ParameterError(f"r_max must lie in (0, 1), got {r_max!r}")
-        rings = _positive_int(rings, "rings")
+        rings = _integer(rings, 1, "rings")
         return cls(tuple(r_max * k / rings for k in range(1, rings + 1)), angles)
 
     @classmethod

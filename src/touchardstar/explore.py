@@ -10,28 +10,31 @@ warning.
 
 Sweeps evaluate one criterion over a cartesian parameter grid in array
 calls, one per moment order, never aborting on a bad point (errors become
-row status codes).  Output is deterministic to the byte.
+row status codes, ``invalid_params`` exactly where :func:`criterion_value`
+raises ParameterError).  Output is deterministic to the byte.  Criterion
+names, labels and the (tau, A, B) requirement come from
+:data:`criteria.CRITERIA`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .criteria import (
-    ALPHA_MAX,
+    CRITERIA,
     TOL_EQ,
     ClassParams,
+    Criterion,
     MembershipReport,
     RTauParams,
+    _check_alpha,
+    _check_lam,
+    _closed,
     closed_form,
-    theorem_M_lhs,
-    theorem_N_lhs,
-    theorem_integral_operator,
-    theorem_rtau_inclusion,
 )
 from .errors import NoThreshold, ParameterError
-from .moments import TouchardParams
+from .moments import _as_integer_order, _check_m
 
 #: Geometric scan ladder: m = 2**k for k in this inclusive range.  The upper
 #: end is far beyond the interesting regime (criteria are astronomically
@@ -39,29 +42,24 @@ from .moments import TouchardParams
 #: criterion in the supported alpha range is still below its bound.
 LADDER_EXPONENTS = (-10, 10)
 
-CRITERION_NAMES = {
-    "M": "M_theorem",
-    "N": "N_theorem",
-    "rtau": "rtau",
-    "integral": "integral",
-}
+
+def _criterion(which) -> Criterion:
+    try:
+        return CRITERIA[which]
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable, such as a list
+        raise ParameterError(
+            f"unknown criterion {which!r}; expected one of {', '.join(CRITERIA)}") from None
 
 
 def criterion_value(which: str, l: int, m: float, p: ClassParams,
                     rtau: RTauParams | None = None) -> MembershipReport:
     """Closed-form membership report for one criterion at one parameter point."""
-    tp = TouchardParams(l, m)
-    if which == "M":
-        return theorem_M_lhs(tp, p)
-    if which == "N":
-        return theorem_N_lhs(tp, p)
-    if which == "integral":
-        return theorem_integral_operator(tp, p)
-    if which == "rtau":
+    gain = 1.0
+    if _criterion(which).needs_rtau:
         if rtau is None:
-            raise ParameterError("criterion 'rtau' needs (tau, A, B) parameters")
-        return theorem_rtau_inclusion(tp, p, rtau)
-    raise ParameterError(f"unknown criterion {which!r}; expected M, N, rtau or integral")
+            raise ParameterError(f"criterion {which!r} needs (tau, A, B) parameters")
+        gain = rtau.gain
+    return _closed(which, l, m, p, gain)
 
 
 @dataclass(frozen=True)
@@ -84,43 +82,38 @@ class ThresholdResult:
     all_brackets: tuple = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "m_star": self.m_star,
-            "bracket": list(self.bracket),
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "criterion": self.criterion,
-            "warnings": list(self.warnings),
-            "all_brackets": [list(b) for b in self.all_brackets],
-        }
+        return dict(asdict(self), bracket=list(self.bracket), warnings=list(self.warnings),
+                    all_brackets=[list(b) for b in self.all_brackets])
 
 
 def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None = None,
-                   tol_m: float = 1e-10,
-                   ladder_exponents: tuple = LADDER_EXPONENTS) -> ThresholdResult:
+                   tol_m: float = 1e-10) -> ThresholdResult:
     """Locate the m where the chosen criterion first crosses alpha - 1.
 
-    Requires 1 - alpha*lambda > 0; otherwise the criterion value stays
-    nonpositive for every m (each term is then nonpositive) and no
-    threshold exists.  Scans m = 2**k over the ladder for sign changes of
-    criterion(m) - (alpha - 1), then bisects the first bracket down to
-    ``tol_m``.  The sign of an exact zero counts as negative, matching the
-    bracket invariant value(m_lo) <= bound < value(m_hi).
+    A bad criterion, order or (tau, A, B) raises ParameterError at the first
+    evaluation.  Then 1 - alpha*lambda > 0 is required; otherwise the
+    criterion value stays nonpositive for every m (each term is then
+    nonpositive) and no threshold exists (NoThreshold).  Scans m = 2**k over
+    the ladder for sign changes of criterion(m) - (alpha - 1), then bisects
+    the first bracket down to ``tol_m``.  The sign of an exact zero counts
+    as negative, matching the bracket invariant value(m_lo) <= bound <
+    value(m_hi).
     """
     if not (tol_m > 0):
         raise ParameterError(f"tol_m must be positive, got {tol_m!r}")
+
+    def g(m: float) -> float:
+        return criterion_value(which, l, m, p, rtau).criterion_value - p.bound
+
+    k_lo, k_hi = LADDER_EXPONENTS
+    ladder = [2.0 ** k for k in range(k_lo, k_hi + 1)]
+    values = [g(ladder[0])]  # checks the parameters before the existence test below
     if 1.0 - p.alpha * p.lam <= 0:
         raise NoThreshold(
             f"1 - alpha*lambda = {1.0 - p.alpha * p.lam!r} <= 0: criterion stays below the "
             "bound for every m, no threshold exists"
         )
-
-    def g(m: float) -> float:
-        return criterion_value(which, l, m, p, rtau).criterion_value - p.bound
-
-    k_lo, k_hi = ladder_exponents
-    ladder = [2.0 ** k for k in range(k_lo, k_hi + 1)]
-    values = [g(m) for m in ladder]
+    values += [g(m) for m in ladder[1:]]
     brackets = [
         (ladder[i], ladder[i + 1])
         for i in range(len(ladder) - 1)
@@ -150,7 +143,7 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
         bracket=(lo, hi),
         residual=g(m_star),
         iterations=iterations,
-        criterion=CRITERION_NAMES[which],
+        criterion=CRITERIA[which].label,
         warnings=warnings,
         all_brackets=tuple(brackets),
     )
@@ -159,7 +152,6 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
 # Parameter columns in their fixed sweep order.
 _PARAM_ORDER = ("l", "m", "lambda", "alpha", "tau", "A", "B")
 _RESULT_COLUMNS = ("criterion_value", "bound", "member", "status")
-_BAD_PARAMS = (ParameterError, ValueError, TypeError, OverflowError)  # an int past float range
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,7 @@ def _checked(make, axes, trailing=0):
     for point in itertools.product(*axes):
         try:
             out.append(make(*point))
-        except _BAD_PARAMS:
+        except ParameterError:
             out.append(np.nan)
     return np.array(out, dtype=float).reshape([len(a) for a in axes] + [1] * trailing)
 
@@ -233,43 +225,35 @@ def sweep(which: str, grid: dict) -> SweepTable:
     """
     import numpy as np
 
-    if not isinstance(which, str) or which not in CRITERION_NAMES:
-        raise ParameterError(f"unknown criterion {which!r}; expected M, N, rtau or integral")
-    needs_rtau = which == "rtau"
-    param_names = [n for n in _PARAM_ORDER if n in ("l", "m", "lambda", "alpha")
-                   or (needs_rtau and n in ("tau", "A", "B"))]
-    missing = [n for n in param_names if n not in grid]
-    if missing:
-        raise ParameterError(f"sweep grid missing parameter lists: {', '.join(missing)}")
-    unknown = sorted(set(grid) - set(param_names))
-    if unknown:
-        raise ParameterError(f"sweep grid has unexpected keys: {', '.join(unknown)}")
+    needs_rtau = _criterion(which).needs_rtau
+    param_names = _PARAM_ORDER if needs_rtau else _PARAM_ORDER[:4]
+    if set(grid) != set(param_names):
+        raise ParameterError(f"sweep grid for {which!r} takes the lists {', '.join(param_names)}, "
+                             f"got {', '.join(map(str, grid))}")
 
     axes = [_axis(n, grid[n]) for n in param_names]
     # one l's block: m, lambda, alpha (and tau, A, B), each along its own axis
     dims = len(axes) - 1
-    m = _checked(lambda m: TouchardParams(0, m).m, axes[1:2], dims - 1)
-    lam = _checked(lambda v: ClassParams(float(v), ALPHA_MAX).lam, axes[2:3], dims - 2)
-    alpha = _checked(lambda v: ClassParams(0.0, float(v)).alpha, axes[3:4], dims - 3)
+    m = _checked(_check_m, axes[1:2], dims - 1)
+    lam = _checked(_check_lam, axes[2:3], dims - 2)
+    alpha = _checked(_check_alpha, axes[3:4], dims - 3)
     gain = 1.0
     if needs_rtau:
         axes[4] = [_tau_cell(t) for t in axes[4]]
-        gain = _checked(lambda t, a, b: RTauParams(complex(t), float(a), float(b)).gain,
-                        axes[4:])
+        gain = _checked(lambda t, a, b: RTauParams(t, a, b).gain, axes[4:])
     bad = np.isnan(m) | np.isnan(lam) | np.isnan(alpha) | np.isnan(gain)
     value = np.full((len(axes[0]),) + bad.shape, np.nan)
     invalid = np.broadcast_to(bad, value.shape).copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for i, l in enumerate(axes[0]):
             try:
-                value[i] = closed_form(which, TouchardParams(l, 1.0).integer_order,
-                                       m, lam, alpha, gain)
-            except _BAD_PARAMS:  # a bad l, or l past the exact Stirling cap
+                value[i] = closed_form(which, _as_integer_order(l), m, lam, alpha, gain)
+            except ParameterError:  # a bad l, or l past the exact Stirling cap
                 invalid[i] = True
     bound = alpha - 1.0
     status = np.where(invalid, "invalid_params",
                       np.where(np.isfinite(value), "ok", "numeric_failure"))
-    columns = tuple(param_names) + _RESULT_COLUMNS
+    columns = param_names + _RESULT_COLUMNS
     cells = zip(itertools.product(*axes),
                 *(np.broadcast_to(a, value.shape).ravel().tolist()
                   for a in (value, bound, value <= bound + TOL_EQ, status)))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidIndex, NoConvergence, OrderTooLarge, ParameterError
 
@@ -52,7 +52,7 @@ class TouchardParams:
     m: float
 
     def __post_init__(self) -> None:
-        _check_m(self.m)
+        object.__setattr__(self, "m", _check_m(self.m))
         _check_real_order(self.l)
 
     @property
@@ -76,44 +76,54 @@ class MomentValue:
     tail_bound: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "truncation_terms": self.truncation_terms,
-            "tail_bound": self.tail_bound,
-        }
+        return asdict(self)
 
 
-def _check_real_order(l) -> float:
-    """``l`` as a float; it must be a nonnegative finite real but not a bool."""
+def _real(x) -> float:
+    """``x`` as a float if it is a finite ``numbers.Real`` but not a bool
+    (numpy scalars count; an int too large for a float does not), else NaN,
+    which fails every range check."""
+    # int and float first: the numbers.Real (ABC) check is the slow one
+    if isinstance(x, bool) or not isinstance(x, (int, float, numbers.Real)):
+        return math.nan
     try:
-        ok = (isinstance(l, (int, float, numbers.Integral)) and not isinstance(l, bool)
-              and math.isfinite(l) and l >= 0)
+        x = float(x)
     except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        raise ParameterError(f"moment order l must be a nonnegative finite real, got {l!r}")
-    return float(l)
+        return math.nan
+    return x if math.isfinite(x) else math.nan
+
+
+def _integer(x, low: int, what: str, error: type = ParameterError) -> int:
+    """``x`` as an int if it is an integer (any ``numbers.Integral`` but bool)
+    of at least ``low``; otherwise ``error``."""
+    if isinstance(x, bool) or not isinstance(x, (int, numbers.Integral)) or x < low:
+        raise error(f"{what} must be an integer >= {low}, got {x!r}")
+    return int(x)
+
+
+def _real_check(ok, what: str):
+    """A validator: its argument as a float if :func:`_real` accepts it and
+    ``ok`` holds for the value, else ParameterError("<what>, got <argument>")."""
+    def check(x) -> float:
+        value = _real(x)
+        if not ok(value):
+            raise ParameterError(f"{what}, got {x!r}")
+        return value
+    return check
+
+
+_check_real_order = _real_check(lambda l: l >= 0,
+                                "moment order l must be a nonnegative finite real")
+_check_m = _real_check(lambda m: m > 0, "Poisson parameter m must be a positive finite real")
 
 
 def _as_integer_order(l) -> int:
-    _check_real_order(l)
-    if isinstance(l, float) and not l.is_integer():
+    if not _check_real_order(l).is_integer():
         raise ParameterError(
             f"closed-form path takes integer moment orders only, got l={l!r} "
             "(use the series path for real orders)"
         )
     return int(l)
-
-
-def _check_m(m: float) -> float:
-    try:
-        ok = isinstance(m, (int, float)) and math.isfinite(m) and m > 0
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        raise ParameterError(f"Poisson parameter m must be a positive finite real, got {m!r}")
-    return float(m)
 
 
 # Triangular table of Stirling numbers of the second kind, grown on demand.
@@ -124,19 +134,17 @@ _STIRLING_ROWS: list[list[int]] = [[1]]
 _HORNER_ROWS: dict[int, tuple] = {}
 
 
-def stirling2(l: int, k: int, *, l_max: int = L_MAX) -> int:
+def stirling2(l: int, k: int) -> int:
     """Stirling number of the second kind S(l, k), exactly.
 
     S(l, k) counts the partitions of an l-element set into k nonempty
     blocks.  Computed by the recurrence S(l,k) = k*S(l-1,k) + S(l-1,k-1)
     with S(0,0) = 1 and S(l,0) = 0 for l >= 1, in exact integer arithmetic.
     """
-    if not isinstance(l, int) or not isinstance(k, int) or isinstance(l, bool) or isinstance(k, bool):
-        raise ParameterError(f"stirling2 takes integer arguments, got ({l!r}, {k!r})")
-    if l < 0 or k < 0:
-        raise InvalidIndex(f"indices must be nonnegative, got ({l}, {k})")
-    if l > l_max:
-        raise OrderTooLarge(f"order l={l} exceeds the exact-arithmetic cap {l_max}")
+    l = _integer(l, 0, "Stirling index l", InvalidIndex)
+    k = _integer(k, 0, "Stirling index k", InvalidIndex)
+    if l > L_MAX:
+        raise OrderTooLarge(f"order l={l} exceeds the exact-arithmetic cap {L_MAX}")
     if k > l:
         raise InvalidIndex(f"k={k} exceeds l={l}")
     while len(_STIRLING_ROWS) <= l:
@@ -150,17 +158,15 @@ def stirling2(l: int, k: int, *, l_max: int = L_MAX) -> int:
     return _STIRLING_ROWS[l][k]
 
 
-def tail_kernel(l: int, m, *, l_max: int = L_MAX):
-    """The moment sum over n >= 1 for an integer order 0 <= l <= l_max.
+def tail_kernel(l: int, m):
+    """The moment sum over n >= 1 for an integer order 0 <= l <= L_MAX.
 
     ``m`` is a positive float or an ndarray of them, not validated here.
     l >= 1 gives T_l(m) by Horner's rule over the float Stirling row, l = 0
     gives 1 - exp(-m) by ``math.expm1``, elementwise for an array.  A float
     m gives a float, and each element of an array result is bit for bit the
-    scalar result for that m.
+    scalar result for that m.  Past L_MAX :func:`stirling2` raises OrderTooLarge.
     """
-    if l > l_max:
-        raise OrderTooLarge(f"order l={l} exceeds the exact-arithmetic cap {l_max}")
     if l == 0:
         if isinstance(m, (float, int)):
             return -math.expm1(-m)
@@ -169,7 +175,7 @@ def tail_kernel(l: int, m, *, l_max: int = L_MAX):
         tails = map(math.expm1, (-m).ravel().tolist())
         return -np.fromiter(tails, float, m.size).reshape(m.shape)
     if l not in _HORNER_ROWS:
-        _HORNER_ROWS[l] = tuple(float(stirling2(l, k, l_max=l_max)) for k in range(l, -1, -1))
+        _HORNER_ROWS[l] = tuple(float(stirling2(l, k)) for k in range(l, -1, -1))
     row = _HORNER_ROWS[l]
     value = row[0]
     for c in row[1:]:
@@ -178,7 +184,7 @@ def tail_kernel(l: int, m, *, l_max: int = L_MAX):
     return value
 
 
-def poisson_moment_closed(l: int, m: float, *, l_max: int = L_MAX) -> MomentValue:
+def poisson_moment_closed(l: int, m: float) -> MomentValue:
     """Raw Poisson moment by the Touchard polynomial T_l(m) = sum_k S(l,k) m**k.
 
     Horner's rule over the Stirling coefficients rounded to floats; none is
@@ -188,7 +194,7 @@ def poisson_moment_closed(l: int, m: float, *, l_max: int = L_MAX) -> MomentValu
     """
     l = _as_integer_order(l)
     m = _check_m(m)
-    value = tail_kernel(l, m, l_max=l_max) if l else 1.0
+    value = tail_kernel(l, m) if l else 1.0
     return MomentValue(value=value, method=METHOD_CLOSED)
 
 

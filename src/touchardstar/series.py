@@ -15,14 +15,12 @@ equally spaced points at a time (one inverse DFT).
 
 from __future__ import annotations
 
-import io
 import math
-import numbers
 
 import numpy as np
 
 from .errors import InvalidOrder, OutOfDisk, ParameterError
-from .moments import TouchardParams
+from .moments import TouchardParams, _integer
 
 #: Default truncation order.  Doubling it moves every criterion value
 #: reported downstream by far less than 1e-12 for m <= 10 (the coefficients
@@ -92,8 +90,7 @@ def touchard_series(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trunc
     """
     l = params.integer_order
     m = params.m
-    if not isinstance(order, int) or isinstance(order, bool) or order < 2:
-        raise InvalidOrder(f"truncation order must be an integer >= 2, got {order!r}")
+    order = _integer(order, 2, "truncation order", InvalidOrder)
     u = np.empty(order)
     u[0] = 1.0
     term = m  # n = 2 term before scaling: 1**l * m / 1!
@@ -134,13 +131,6 @@ def apply_operator_L(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trun
     base = touchard_series(params, order)
     n = np.arange(1, order + 1, dtype=float)
     return TruncatedSeries(base.coeffs / n)
-
-
-def _positive_int(value, what: str) -> int:
-    """``value`` as an int; any integer type but bool, at least 1."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _power_coeffs(f: TruncatedSeries, order) -> np.ndarray:
@@ -192,7 +182,7 @@ def evaluate_rings(f: TruncatedSeries, radii, angles: int, orders=(0,)) -> np.nd
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or np.any(np.abs(r) >= 1.0):
         raise OutOfDisk("ring radii must be a 1-d sequence with |r| < 1")
-    k = _positive_int(angles, "angles per ring")
+    k = _integer(angles, 1, "angles per ring")
     width = -(-(f.order + 1) // k) * k  # powers 0..N padded to whole blocks of k
     c = np.zeros((len(orders), width))
     for row, d in zip(c, orders):
@@ -205,11 +195,9 @@ def evaluate_rings(f: TruncatedSeries, radii, angles: int, orders=(0,)) -> np.nd
 
 def series_to_csv(f: TruncatedSeries) -> str:
     """Render the series as CSV lines ``n,a_n`` with a header row."""
-    buf = io.StringIO()
-    buf.write("n,a_n\n")
-    for i, c in enumerate(f.coeffs, start=1):
-        buf.write(f"{i},{float(c)!r}\n")
-    return buf.getvalue()
+    from .formats import rows_csv  # the CLI's renderer, loaded only when asked for
+    return rows_csv(("n", "a_n"), ({"n": n, "a_n": c}
+                                   for n, c in enumerate(f.coeffs.tolist(), start=1)))
 
 
 def series_from_csv(text: str) -> TruncatedSeries:

@@ -255,8 +255,8 @@ def reference_rows(which, grid):
                 row["tau"] = str(point["tau"])
                 tau = complex(str(point["tau"]).replace(" ", ""))
                 row["tau"] = repr(tau).replace(" ", "")
-                rt = RTauParams(tau, float(point["A"]), float(point["B"]))
-            p = ClassParams(float(point["lambda"]), float(point["alpha"]))
+                rt = RTauParams(tau, point["A"], point["B"])
+            p = ClassParams(point["lambda"], point["alpha"])
             report = criterion_value(which, point["l"], point["m"], p, rt)
             row.update(criterion_value=report.criterion_value, bound=report.bound,
                        member=report.member, status="ok")
