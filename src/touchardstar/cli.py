@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .criteria import CRITERIA, ClassParams, RTauParams, lemma_sum_M, lemma_sum_N
+from .criteria import CRITERIA, ClassParams, RTauParams, _complex, lemma_sum_M, lemma_sum_N
 from .errors import NumericFailure, ParameterError
 from .explore import criterion_value, find_threshold, sweep
 from .formats import canonical_json, human_lines, one_line_csv
@@ -40,13 +40,6 @@ def _parse_alpha(text: str) -> float:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"alpha must be a decimal or the literal 4/3, got {text!r}")
-
-
-def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a complex number like 1, -0.5 or 1+2j, got {text!r}")
 
 
 def _emit(args, record: dict, flat: dict | None = None) -> None:
@@ -77,7 +70,7 @@ def _add_class_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_rtau_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=_parse_complex, help="nonzero complex tau of the distortion class")
+    p.add_argument("--tau", type=_complex, help="nonzero complex tau of the distortion class")
     p.add_argument("--A", type=float, help="upper distortion parameter")
     p.add_argument("--B", type=float, help="lower distortion parameter")
 

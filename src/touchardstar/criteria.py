@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NegativeCoefficient, NumericFailure, ParameterError
 from .moments import (
+    METHOD_CLOSED,
     TouchardParams,
     _as_integer_order,
     _check_m,
@@ -54,7 +56,6 @@ if TYPE_CHECKING:
 #: sum equals alpha - 1 exactly are not flipped by the last rounding.
 TOL_EQ = 1e-12
 
-METHOD_CLOSED = "closed_form"
 METHOD_COEFF = "coefficient_sum"
 
 ALPHA_MAX = 4.0 / 3.0
@@ -114,11 +115,20 @@ class ClassParams:
 
         Accepts a scalar or an ndarray of indices.
         """
-        import numpy as np
+        return n - (1.0 + n * self.lam - self.lam) * self.alpha
 
-        n = np.asarray(n, dtype=float)
-        w = n - (1.0 + n * self.lam - self.lam) * self.alpha
-        return w if w.ndim else float(w)
+
+def _complex(x) -> complex:
+    """tau as a complex: a number other than a bool as it is, a string such
+    as "1 + 2j" with its spaces removed; anything else is a ParameterError."""
+    try:
+        if isinstance(x, str):
+            return complex(x.replace(" ", ""))
+        if not isinstance(x, bool) and isinstance(x, numbers.Number):
+            return complex(x)
+    except (ValueError, OverflowError):  # malformed text, an int too large for a float
+        pass
+    raise ParameterError(f"tau must be a complex number such as 1, -0.5 or 1+2j, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +140,8 @@ class RTauParams:
     B: float
 
     def __post_init__(self) -> None:
-        try:
-            tau = complex(self.tau)  # a string such as "1+2j" parses too
-        except (TypeError, ValueError, OverflowError):
-            tau = 0j
-        if tau == 0 or isinstance(self.tau, bool) or not cmath.isfinite(tau):
+        tau = _complex(self.tau)
+        if tau == 0 or not cmath.isfinite(tau):
             raise ParameterError(f"tau must be a nonzero finite complex number, got {self.tau!r}")
         A, B = _real(self.A), _real(self.B)
         if not -1 <= B < A <= 1:

@@ -17,13 +17,14 @@ Near-boundary radii are opt-in: truncation error of the series grows as
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .criteria import ClassParams, RTauParams
 from .errors import ParameterError
-from .moments import _integer
+from .moments import _integer, _real_check
 from .series import TruncatedSeries, evaluate_rings
 
 #: Margin on the violation comparison: a sample counts as a violation when
@@ -34,6 +35,8 @@ TOL_V = 1e-9
 #: degenerate and excluded from the statistics instead of evaluated.
 DEGENERATE_DEN = 1e-12
 
+_check_radius = _real_check(lambda r: 0 < r < 1, "grid radii must lie in (0, 1)")
+
 
 @dataclass(frozen=True)
 class DiskGrid:
@@ -43,8 +46,8 @@ class DiskGrid:
     angles_per_ring: int
 
     def __post_init__(self) -> None:
-        radii = tuple(float(r) for r in self.radii)
-        if not radii or not all(0.0 < r < 1.0 for r in radii):
+        radii = tuple(map(_check_radius, self.radii))
+        if not radii:
             raise ParameterError("grid radii must be a nonempty list inside (0, 1)")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angles_per_ring",
@@ -53,12 +56,12 @@ class DiskGrid:
     @classmethod
     def uniform(cls, r_max: float = 0.95, rings: int = 19, angles: int = 96) -> "DiskGrid":
         """Radii r_max * k/rings for k = 1..rings (defaults give 0.05, 0.10, ..., 0.95)."""
-        if not (0.0 < r_max < 1.0):
-            raise ParameterError(f"r_max must lie in (0, 1), got {r_max!r}")
+        r_max = _check_radius(r_max)
         rings = _integer(rings, 1, "rings")
         return cls(tuple(r_max * k / rings for k in range(1, rings + 1)), angles)
 
     @classmethod
+    @functools.cache  # a grid is immutable, so every default scan can share one
     def default(cls) -> "DiskGrid":
         return cls.uniform()
 
@@ -107,15 +110,17 @@ class VerificationReport:
         }
 
 
-def _scan(points: np.ndarray, stat: np.ndarray, valid: np.ndarray, bound: float,
+def _scan(points: np.ndarray, num: np.ndarray, den: np.ndarray, stat, bound: float,
           keep_samples: bool) -> VerificationReport:
-    stat = np.where(valid, stat, np.nan)
+    """Scan ``stat`` (np.real or np.abs) of num/den; |den| < DEGENERATE_DEN is degenerate."""
+    valid = np.abs(den) >= DEGENERATE_DEN
+    values = stat(np.divide(num, den, out=np.full_like(den, np.nan), where=valid))
     degenerate = int(np.size(valid) - np.count_nonzero(valid))
     if np.count_nonzero(valid):
-        idx = int(np.nanargmax(stat))
-        max_stat = float(stat[idx])
+        idx = int(np.nanargmax(values))
+        max_stat = float(values[idx])
         arg = complex(points[idx])
-        violations = int(np.count_nonzero(stat[valid] >= bound - TOL_V))
+        violations = int(np.count_nonzero(values[valid] >= bound - TOL_V))
     else:
         max_stat, arg, violations = None, None, 0
     return VerificationReport(
@@ -124,25 +129,22 @@ def _scan(points: np.ndarray, stat: np.ndarray, valid: np.ndarray, bound: float,
         violations=violations,
         samples=int(points.size),
         degenerate_samples=degenerate,
-        sample_values=stat if keep_samples else None,
+        sample_values=values if keep_samples else None,
     )
 
 
-def _on_grid(f: TruncatedSeries, grid: DiskGrid, orders) -> np.ndarray:
-    """The requested derivatives of f, one row per order, in ``grid.points()`` order."""
-    return evaluate_rings(f, grid.radii, grid.angles_per_ring, orders).reshape(len(orders), -1)
+def _on_grid(f: TruncatedSeries, grid: DiskGrid | None, orders) -> tuple:
+    """The points of ``grid`` (None: the default grid) and f's ``orders`` there, a row each."""
+    grid = grid or DiskGrid.default()
+    rows = evaluate_rings(f, grid.radii, grid.angles_per_ring, orders).reshape(len(orders), -1)
+    return grid.points(), rows
 
 
 def verify_M(f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None,
              keep_samples: bool = False) -> VerificationReport:
     """Sample Re( z f' / ((1-lam) f + lam z f') ) and count samples reaching alpha."""
-    grid = grid or DiskGrid.default()
-    z = grid.points()
-    fz, fpz = _on_grid(f, grid, (0, 1))
-    den = (1.0 - p.lam) * fz + p.lam * z * fpz
-    valid = np.abs(den) >= DEGENERATE_DEN
-    quot = np.divide(z * fpz, den, out=np.zeros_like(den), where=valid)
-    return _scan(z, quot.real, valid, p.alpha, keep_samples)
+    z, (fz, fpz) = _on_grid(f, grid, (0, 1))
+    return _scan(z, z * fpz, (1.0 - p.lam) * fz + p.lam * z * fpz, np.real, p.alpha, keep_samples)
 
 
 def verify_N(f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None,
@@ -152,25 +154,16 @@ def verify_N(f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None,
     At lam = 0 the quotient reduces to 1 + z f''/f', the classical convexity
     statistic.
     """
-    grid = grid or DiskGrid.default()
-    z = grid.points()
-    fpz, fppz = _on_grid(f, grid, (1, 2))
-    den = fpz + p.lam * z * fppz
-    valid = np.abs(den) >= DEGENERATE_DEN
-    quot = np.divide(fpz + z * fppz, den, out=np.zeros_like(den), where=valid)
-    return _scan(z, quot.real, valid, p.alpha, keep_samples)
+    z, (fpz, fppz) = _on_grid(f, grid, (1, 2))
+    return _scan(z, fpz + z * fppz, fpz + p.lam * z * fppz, np.real, p.alpha, keep_samples)
 
 
 def verify_rtau(f: TruncatedSeries, r: RTauParams, grid: DiskGrid | None = None,
                 keep_samples: bool = False) -> VerificationReport:
     """Sample |(f' - 1) / ((A-B) tau - B (f' - 1))| and count samples reaching 1."""
-    grid = grid or DiskGrid.default()
-    z = grid.points()
-    w = _on_grid(f, grid, (1,))[0] - 1.0
-    den = (r.A - r.B) * r.tau - r.B * w
-    valid = np.abs(den) >= DEGENERATE_DEN
-    quot = np.divide(w, den, out=np.zeros_like(den), where=valid)
-    return _scan(z, np.abs(quot), valid, 1.0, keep_samples)
+    z, (fpz,) = _on_grid(f, grid, (1,))
+    w = fpz - 1.0
+    return _scan(z, w, (r.A - r.B) * r.tau - r.B * w, np.abs, 1.0, keep_samples)
 
 
 def samples_to_csv(grid: DiskGrid, report: VerificationReport) -> str:

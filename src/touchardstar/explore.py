@@ -31,10 +31,11 @@ from .criteria import (
     _check_alpha,
     _check_lam,
     _closed,
+    _complex,
     closed_form,
 )
 from .errors import NoThreshold, ParameterError
-from .moments import _as_integer_order, _check_m
+from .moments import _as_integer_order, _check_m, _check_tol
 
 #: Geometric scan ladder: m = 2**k for k in this inclusive range.  The upper
 #: end is far beyond the interesting regime (criteria are astronomically
@@ -99,8 +100,7 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
     as negative, matching the bracket invariant value(m_lo) <= bound <
     value(m_hi).
     """
-    if not (tol_m > 0):
-        raise ParameterError(f"tol_m must be positive, got {tol_m!r}")
+    tol_m = _check_tol(tol_m)
 
     def g(m: float) -> float:
         return criterion_value(which, l, m, p, rtau).criterion_value - p.bound
@@ -203,8 +203,8 @@ def _tau_cell(t) -> str:
     """tau in canonical complex form (safe in CSV and JSON, parses back to the
     same value), or as given when it does not parse."""
     try:
-        return repr(complex(str(t).replace(" ", ""))).replace(" ", "")
-    except ValueError:
+        return repr(_complex(t))
+    except ParameterError:
         return str(t)
 
 

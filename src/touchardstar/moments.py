@@ -95,8 +95,8 @@ def _real(x) -> float:
 
 def _integer(x, low: int, what: str, error: type = ParameterError) -> int:
     """``x`` as an int if it is an integer (any ``numbers.Integral`` but bool)
-    of at least ``low``; otherwise ``error``."""
-    if isinstance(x, bool) or not isinstance(x, (int, numbers.Integral)) or x < low:
+    of at least ``low`` that :func:`_real` accepts; otherwise ``error``."""
+    if not isinstance(x, (int, numbers.Integral)) or not _real(x) >= low:
         raise error(f"{what} must be an integer >= {low}, got {x!r}")
     return int(x)
 
@@ -115,6 +115,7 @@ def _real_check(ok, what: str):
 _check_real_order = _real_check(lambda l: l >= 0,
                                 "moment order l must be a nonnegative finite real")
 _check_m = _real_check(lambda m: m > 0, "Poisson parameter m must be a positive finite real")
+_check_tol = _real_check(lambda tol: tol > 0, "tolerance must be a positive finite real")
 
 
 def _as_integer_order(l) -> int:
@@ -215,8 +216,8 @@ def poisson_moment_series(
     """
     m = _check_m(m)
     l = _check_real_order(l)
-    if not (tol > 0):
-        raise ParameterError(f"tolerance must be positive, got {tol!r}")
+    tol = _check_tol(tol)
+    term_cap = _integer(term_cap, 1, "term_cap")
     scale = math.exp(-m)
     if scale == 0.0:
         raise NoConvergence(f"exp(-m) underflows for m={m}; series path unusable this far out")

@@ -55,6 +55,8 @@ class TruncatedSeries:
         actually_nonneg = bool(np.all(arr[1:] >= 0.0))
         if nonneg is None:
             nonneg = actually_nonneg
+        elif not isinstance(nonneg, bool):
+            raise ParameterError(f"nonneg must be True, False or None, got {nonneg!r}")
         elif nonneg and not actually_nonneg:
             raise ParameterError("nonneg flag set but a negative coefficient is present")
         arr = arr.copy()
@@ -72,7 +74,7 @@ class TruncatedSeries:
 
     def a(self, n: int) -> float:
         """Coefficient of z**n, 1 <= n <= order."""
-        if not 1 <= n <= self.order:
+        if _integer(n, 1, "coefficient index") > self.order:
             raise ParameterError(f"coefficient index {n} outside 1..{self.order}")
         return float(self.coeffs[n - 1])
 
@@ -135,14 +137,14 @@ def apply_operator_L(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trun
 
 def _power_coeffs(f: TruncatedSeries, order) -> np.ndarray:
     """Coefficients c_0, c_1, ... of z**0, z**1, ... in f, f' or f''."""
+    if _integer(order, 0, "derivative order") > 2:
+        raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
     n = np.arange(1, f.order + 1, dtype=float)
     if order == 0:
         return np.concatenate([[0.0], f.coeffs])  # 0, a_1 .. a_N
     if order == 1:
         return n * f.coeffs
-    if order == 2:
-        return ((n * (n - 1)) * f.coeffs)[1:]
-    raise ParameterError(f"derivative order must be 0, 1 or 2, got {order!r}")
+    return ((n * (n - 1)) * f.coeffs)[1:]
 
 
 def evaluate(f: TruncatedSeries, z, order: int = 0):

@@ -6,6 +6,7 @@ Strings are not numbers, except tau, which parses as a complex number.
 Whatever the library rejects, a sweep row reports as ``invalid_params``.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -16,19 +17,30 @@ import pytest
 
 from touchardstar import (
     ClassParams,
+    DiskGrid,
     InvalidOrder,
+    MembershipReport,
     NoThreshold,
     ParameterError,
     RTauParams,
     TouchardParams,
+    TruncatedSeries,
     criterion_value,
+    evaluate,
+    evaluate_rings,
     find_threshold,
+    poisson_moment_closed,
+    poisson_moment_series,
     rtau_coeff_bound,
+    series_from_csv,
     stirling2,
     sweep,
+    tail_moment,
     touchard_series,
+    verify_N,
 )
-from touchardstar import disk
+from touchardstar import disk, explore
+from touchardstar.cli import main
 from touchardstar.criteria import CRITERIA
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,3 +152,156 @@ def test_cli_exits_two_without_traceback(argv):
     proc = child(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+F = TruncatedSeries([1.0, 0.5])
+P = ClassParams(0.1, 1.2)
+
+#: Every numeric argument of the public API, as a call taking that argument.
+NUMERIC_ARGUMENTS = {
+    "TouchardParams.l": lambda v: TouchardParams(v, 0.5),
+    "TouchardParams.m": lambda v: TouchardParams(2, v),
+    "ClassParams.lam": lambda v: ClassParams(v, 1.2),
+    "ClassParams.alpha": lambda v: ClassParams(0.1, v),
+    "RTauParams.A": lambda v: RTauParams(1.0, v, -1.0),
+    "RTauParams.B": lambda v: RTauParams(1.0, 0.5, v),
+    "DiskGrid.radii": lambda v: DiskGrid((v,), 4),
+    "DiskGrid.angles_per_ring": lambda v: DiskGrid((0.5,), v),
+    "DiskGrid.uniform.r_max": lambda v: DiskGrid.uniform(v),
+    "DiskGrid.uniform.rings": lambda v: DiskGrid.uniform(0.5, v),
+    "DiskGrid.uniform.angles": lambda v: DiskGrid.uniform(0.5, 4, v),
+    "poisson_moment_closed.l": lambda v: poisson_moment_closed(v, 0.5),
+    "poisson_moment_closed.m": lambda v: poisson_moment_closed(2, v),
+    "poisson_moment_series.l": lambda v: poisson_moment_series(v, 0.5),
+    "poisson_moment_series.m": lambda v: poisson_moment_series(2, v),
+    "poisson_moment_series.tol": lambda v: poisson_moment_series(2, 0.5, v),
+    "poisson_moment_series.term_cap": lambda v: poisson_moment_series(2, 0.5, term_cap=v),
+    "tail_moment.l": lambda v: tail_moment(v, 0.5),
+    "tail_moment.m": lambda v: tail_moment(2, v),
+    "criterion_value.l": lambda v: criterion_value("M", v, 0.5, P),
+    "criterion_value.m": lambda v: criterion_value("M", 2, v, P),
+    "find_threshold.l": lambda v: find_threshold("M", v, P),
+    "find_threshold.tol_m": lambda v: find_threshold("M", 1, P, None, v),
+    "touchard_series.order": lambda v: touchard_series(TouchardParams(1, 0.5), v),
+    "stirling2.l": lambda v: stirling2(v, 1),
+    "stirling2.k": lambda v: stirling2(3, v),
+    "rtau_coeff_bound.n": lambda v: rtau_coeff_bound(v, RTauParams(1.0, 1.0, -1.0)),
+    "TruncatedSeries.a.n": lambda v: F.a(v),
+    "evaluate.order": lambda v: evaluate(F, 0.1, v),
+    "evaluate_rings.orders": lambda v: evaluate_rings(F, (0.5,), 4, (v,)),
+    "evaluate_rings.angles": lambda v: evaluate_rings(F, (0.5,), v),
+}
+BAD_NUMBERS = {"str": "0.5", "bool": True, "nan": math.nan, "inf": math.inf,
+               "int-past-float": 10**400}
+
+
+@pytest.mark.parametrize("value", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
+@pytest.mark.parametrize("argument", list(NUMERIC_ARGUMENTS))
+def test_one_rule_for_every_numeric_argument(argument, value):
+    with pytest.raises(ParameterError):
+        NUMERIC_ARGUMENTS[argument](value)
+
+
+@pytest.mark.parametrize("value", [True, math.nan, complex(math.inf, 1), 10**400, 0, "0j", None,
+                                   b"1", "bogus", "1 + 2"],
+                         ids=["bool", "nan", "inf", "int-past-float", "zero", "zero-str", "none",
+                              "bytes", "bogus", "bogus-spaces"])
+def test_tau_rule(value):
+    # tau is the one parameter that also takes a string
+    with pytest.raises(ParameterError):
+        RTauParams(value, 1.0, -1.0)
+
+
+def test_numpy_radii_and_tolerances_accepted():
+    grid = DiskGrid((np.float32(0.5),), np.int64(4))
+    assert grid.radii == (0.5,) and DiskGrid.uniform(np.float64(0.5), 2).radii == (0.25, 0.5)
+    mv = poisson_moment_series(2, 0.5, np.float64(1e-12), term_cap=np.int64(100))
+    assert mv == poisson_moment_series(2, 0.5)
+
+
+class TestFlagsAndOrders:
+    """A bool or a float is not a derivative order, and nonneg takes a bool."""
+
+    @pytest.mark.parametrize("order", [1.0, np.float64(1.0), 3, -1])
+    def test_evaluate(self, order):
+        with pytest.raises(ParameterError):
+            evaluate(F, 0.1, order)
+        with pytest.raises(ParameterError):
+            evaluate_rings(F, (0.5,), 4, (order,))
+
+    def test_numpy_integer_order(self):
+        assert evaluate(F, 0.1, np.int64(1)) == evaluate(F, 0.1, 1)
+
+    @pytest.mark.parametrize("flag", ["no", 1, np.float64(0.0)])
+    def test_nonneg_flag(self, flag):
+        with pytest.raises(ParameterError):
+            TruncatedSeries([1.0, 0.5], nonneg=flag)
+
+
+class TestTau:
+    """tau is parsed by one function: the library, the sweep and the CLI agree."""
+
+    def test_spaces_in_library(self):
+        assert RTauParams("1 + 2j", 1, -1) == RTauParams(1 + 2j, 1, -1)
+        assert RTauParams(" ( 1 - 2j ) ", 1, -1).tau == 1 - 2j
+
+    def test_sweep_row_equals_library(self):
+        rows = sweep("rtau", {**GRID, "tau": ["1 + 2j"], "A": [0.5], "B": [-0.5]}).rows
+        report = criterion_value("rtau", 2, 0.5, ClassParams(0.25, 1.2),
+                                 RTauParams("1 + 2j", 0.5, -0.5))
+        assert rows[0]["tau"] == "(1+2j)" and rows[0]["status"] == "ok"
+        assert (rows[0]["criterion_value"], rows[0]["member"]) == \
+            (report.criterion_value, report.member)
+
+    def test_cli_spaces(self, capsys):
+        argv = ["check-theorem", "--which", "rtau", "--l", "0", "--m", "0.5", "--lambda", "0",
+                "--alpha", "1.2", "--A", "0.5", "--B", "-0.5", "--tau"]
+        assert main(argv + ["1+1j"]) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["1 + 1j"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_cli_bogus_tau_exits_two(self):
+        proc = child("check-theorem", "--which", "rtau", "--l", "0", "--m", "0.5", "--lambda",
+                     "0", "--alpha", "1.2", "--A", "0.5", "--B", "-0.5", "--tau", "bogus")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "--tau" in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestUnreachedBranches:
+    """Branches no other test reaches."""
+
+    def test_all_degenerate_scan(self):
+        # f' = 1 - 2z vanishes at the only sample, z = 0.5, and lambda = 0
+        report = verify_N(TruncatedSeries([1.0, -1.0]), ClassParams(0, 1.2), DiskGrid((0.5,), 1))
+        assert (report.max_real_part, report.arg_of_max, report.violations) == (None, None, 0)
+        assert (report.samples, report.degenerate_samples) == (1, 1)
+
+    def test_all_degenerate_scan_cli(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("n,a_n\n1,1.0\n2,-1.0\n", encoding="utf-8")
+        code = main(["verify-disk", "--which", "N", "--series", str(path), "--lambda", "0",
+                     "--alpha", "1.2", "--rmax", "0.5", "--rings", "1", "--angles", "1",
+                     "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1] == ",,,0,1,1"
+
+    def test_threshold_without_sign_change(self, monkeypatch):
+        def below(which, l, m, p, rtau=None):
+            return MembershipReport(0.0, p.bound, True, "closed_form", "")
+
+        monkeypatch.setattr(explore, "criterion_value", below)
+        with pytest.raises(NoThreshold, match="no sign change"):
+            explore.find_threshold("M", 0, ClassParams(0.0, 1.2))
+
+    def test_cli_malformed_alpha(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-theorem", "--which", "M", "--l", "0", "--m", "0.5", "--lambda", "0",
+                  "--alpha", "x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "alpha must be a decimal" in captured.err
+
+    def test_series_csv_row_with_three_fields(self):
+        with pytest.raises(ParameterError, match="malformed series CSV row"):
+            series_from_csv("n,a_n\n1,1.0,2\n")
