@@ -2,7 +2,8 @@
 
 For fixed (l, lambda, alpha) the criteria vanish as m -> 0 and eventually
 blow past alpha - 1, so a threshold m* separates members from non-members.
-The finder scans a geometric ladder, bisects the first bracket and certifies
+The finder scans a geometric ladder (walking on past its ends when the
+threshold lies outside it), refines the first bracket by ITP and certifies
 the result by plugging m* back in.
 """
 

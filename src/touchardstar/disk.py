@@ -113,6 +113,8 @@ class VerificationReport:
 def _scan(points: np.ndarray, num: np.ndarray, den: np.ndarray, stat, bound: float,
           keep_samples: bool) -> VerificationReport:
     """Scan ``stat`` (np.real or np.abs) of num/den; |den| < DEGENERATE_DEN is degenerate."""
+    if not isinstance(keep_samples, bool):
+        raise ParameterError(f"keep_samples must be True or False, got {keep_samples!r}")
     valid = np.abs(den) >= DEGENERATE_DEN
     values = stat(np.divide(num, den, out=np.full_like(den, np.nan), where=valid))
     degenerate = int(np.size(valid) - np.count_nonzero(valid))

@@ -5,8 +5,10 @@ Poisson parameter m, vanish as m -> 0 and, whenever 1 - alpha*lambda > 0,
 grow without bound as m -> infinity, so a finite threshold m* separates
 members from non-members.  Monotonicity in m is NOT assumed (the criterion
 carries a negative term): the scan walks a geometric ladder, records every
-sign change, bisects the first bracket and reports the rest alongside a
-warning.
+sign change, refines the first bracket by ITP (interpolate, truncate,
+project) and reports the rest alongside a warning.  A root the ladder misses
+(alpha -> 1+ puts it below the ladder, alpha*lambda -> 1- above) is found by
+walking on outward one power of 2 at a time.
 
 Sweeps evaluate one criterion over a cartesian parameter grid in array
 calls, one per moment order, never aborting on a bad point (errors become
@@ -19,6 +21,7 @@ names, labels and the (tau, A, B) requirement come from
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass, field
 
 from .criteria import (
@@ -37,11 +40,17 @@ from .criteria import (
 from .errors import NoThreshold, ParameterError
 from .moments import _as_integer_order, _check_m, _check_tol
 
-#: Geometric scan ladder: m = 2**k for k in this inclusive range.  The upper
-#: end is far beyond the interesting regime (criteria are astronomically
-#: past the bound by m ~ 100); the lower end is small enough that every
-#: criterion in the supported alpha range is still below its bound.
+#: Geometric scan ladder: m = 2**k for k in this inclusive range.  It holds
+#: the threshold for most parameters, but not all: as alpha -> 1+ the
+#: threshold falls below 2^-10 (5e-4 at l = 1, lambda = 0, alpha = 1.0005),
+#: and as alpha*lambda -> 1- it rises past 2^10 (5000 at l = 0,
+#: lambda = 0.7499, alpha = 4/3).  When the ladder shows no sign change,
+#: :func:`find_threshold` walks on outward, up to the powers of 2 in
+#: :data:`_FLOAT_EXPONENTS`.
 LADDER_EXPONENTS = (-10, 10)
+
+#: The smallest and the largest power of 2 a float holds.
+_FLOAT_EXPONENTS = (-1074, 1023)
 
 
 def _criterion(which) -> Criterion:
@@ -68,10 +77,12 @@ class ThresholdResult:
     """Converged membership threshold in m.
 
     The bracket satisfies criterion(m_lo) <= alpha - 1 < criterion(m_hi)
-    and is narrower than the requested tolerance; ``residual`` is the
+    and is no wider than ``tol_m``, or two adjacent floats; ``iterations``
+    counts the criterion evaluations that refined it; ``residual`` is the
     criterion value at m_star minus the bound (self-certification: plug the
     root back in).  ``all_brackets`` lists every sign change seen on the
-    scan ladder; more than one triggers a non-monotonicity warning.
+    scan ladder (or the one the outward walk found); more than one triggers
+    a non-monotonicity warning.
     """
 
     m_star: float
@@ -95,10 +106,16 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
     evaluation.  Then 1 - alpha*lambda > 0 is required; otherwise the
     criterion value stays nonpositive for every m (each term is then
     nonpositive) and no threshold exists (NoThreshold).  Scans m = 2**k over
-    the ladder for sign changes of criterion(m) - (alpha - 1), then bisects
-    the first bracket down to ``tol_m``.  The sign of an exact zero counts
-    as negative, matching the bracket invariant value(m_lo) <= bound <
-    value(m_hi).
+    the ladder for sign changes of g(m) = criterion(m) - (alpha - 1).  With
+    none there, it walks on one power of 2 at a time: down from the low end
+    if g > 0 there, up from the high end if g <= 0 there, to the ends of the
+    float range (NoThreshold if g never changes sign).  It then refines the
+    first bracket by ITP (see :func:`_itp`) until it is no wider than
+    ``tol_m`` or is two adjacent floats, in at most
+    ceil(log2(width0 / tol_m)) + 1 evaluations for a bracket of width
+    width0.  The sign of an exact zero counts as negative, matching the
+    bracket invariant value(m_lo) <= bound < value(m_hi).  Every evaluation
+    goes through :func:`criterion_value`.
     """
     tol_m = _check_tol(tol_m)
 
@@ -106,38 +123,34 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
         return criterion_value(which, l, m, p, rtau).criterion_value - p.bound
 
     k_lo, k_hi = LADDER_EXPONENTS
-    ladder = [2.0 ** k for k in range(k_lo, k_hi + 1)]
-    values = [g(ladder[0])]  # checks the parameters before the existence test below
+    # rungs are (m, g(m)) pairs; the first checks the parameters before the
+    # existence test below
+    rungs = [(2.0 ** k_lo, g(2.0 ** k_lo))]
     if 1.0 - p.alpha * p.lam <= 0:
         raise NoThreshold(
             f"1 - alpha*lambda = {1.0 - p.alpha * p.lam!r} <= 0: criterion stays below the "
             "bound for every m, no threshold exists"
         )
-    values += [g(m) for m in ladder[1:]]
-    brackets = [
-        (ladder[i], ladder[i + 1])
-        for i in range(len(ladder) - 1)
-        if (values[i] <= 0.0) != (values[i + 1] <= 0.0)
-    ]
+    rungs += [(m, g(m)) for m in (2.0 ** k for k in range(k_lo + 1, k_hi + 1))]
+    brackets = [(a, b) for a, b in zip(rungs, rungs[1:]) if (a[1] > 0.0) != (b[1] > 0.0)]
     if not brackets:
-        raise NoThreshold(
-            f"no sign change of criterion {which!r} on the ladder "
-            f"[2^{k_lo}, 2^{k_hi}] for l={l}, lambda={p.lam}, alpha={p.alpha}"
-        )
+        # g keeps one sign on the whole ladder: the root lies below it if
+        # g > 0 there, above it if g <= 0 there
+        down = rungs[0][1] > 0.0
+        crossing = _walk(g, k_lo, rungs[0][1], -1) if down else _walk(g, k_hi, rungs[-1][1], 1)
+        if crossing is None:
+            low, high = (_FLOAT_EXPONENTS[0], k_hi) if down else (k_lo, _FLOAT_EXPONENTS[1])
+            raise NoThreshold(
+                f"no sign change of criterion {which!r} on "
+                f"[2^{low}, 2^{high}] for l={l}, lambda={p.lam}, alpha={p.alpha}"
+            )
+        brackets = [crossing]
     warnings = ()
     if len(brackets) > 1:
         warnings = (f"non-monotone: {len(brackets)} sign changes on the scan ladder",)
 
-    lo, hi = brackets[0]
-    iterations = 0
-    while hi - lo > tol_m:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    m_star = 0.5 * (lo + hi)
+    lo, hi, iterations = _itp(g, *brackets[0], tol_m)
+    m_star = lo + 0.5 * (hi - lo)
     return ThresholdResult(
         m_star=m_star,
         bracket=(lo, hi),
@@ -145,8 +158,65 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
         iterations=iterations,
         criterion=CRITERIA[which].label,
         warnings=warnings,
-        all_brackets=tuple(brackets),
+        all_brackets=tuple((a[0], b[0]) for a, b in brackets),
     )
+
+
+def _walk(g, k: int, g_k: float, step: int):
+    """From m = 2**k, where g is ``g_k``, evaluate g at 2**(k + step),
+    2**(k + 2 step), ... until its sign changes; return that crossing as a
+    pair of (m, g(m)) in increasing m, or None at the end of the float range."""
+    while k != _FLOAT_EXPONENTS[step > 0]:
+        k += step
+        g_next = g(2.0 ** k)
+        if (g_next > 0.0) != (g_k > 0.0):
+            return ((2.0 ** (k - step), g_k), (2.0 ** k, g_next))[::step]
+        g_k = g_next
+    return None
+
+
+def _itp(g, a: tuple, b: tuple, tol_m: float) -> tuple:
+    """Refine the bracket a = (lo, g(lo)), b = (hi, g(hi)), g(lo) <= 0 < g(hi),
+    by ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020); return (lo, hi, steps).
+
+    Each step takes the regula falsi point, truncates it toward the midpoint
+    by kappa1 * width**2 (kappa1 = 0.2 / width0, kappa2 = 2) and projects it
+    into the interval about the midpoint that leaves a bracket no wider
+    than tol_m * 2**(n - step), n = ceil(log2(width0 / tol_m)): ITP with
+    n0 = 1, so at most n + 1 steps (one more than bisection) up to
+    rounding.  That width starts at width0 * 2**(n - log2(width0 / tol_m)),
+    below 2 * width0, so it cannot overflow however small tol_m is.  A point
+    that is not strictly inside the bracket becomes the midpoint, and a
+    bracket of two adjacent floats ends the refinement.  A step with g <= 0
+    moves lo.
+    """
+    (lo, g_lo), (hi, g_hi) = a, b
+    width0 = hi - lo
+    bits = math.log2(width0) - math.log2(tol_m)
+    allowed = width0 * 2.0 ** (math.ceil(bits) - bits)  # widest bracket after this step
+    steps = 0
+    while hi - lo > tol_m:
+        width = hi - lo
+        mid = lo + 0.5 * width
+        if not lo < mid < hi:
+            break
+        x = lo + width * (g_lo / (g_lo - g_hi))
+        toward = math.copysign(1.0, mid - x)
+        cut = 0.2 * width * (width / width0)
+        x = x + toward * cut if cut <= abs(mid - x) else mid
+        radius = allowed - 0.5 * width
+        if not abs(x - mid) <= radius:
+            x = mid - toward * radius
+        if not lo < x < hi:
+            x = mid
+        y = g(x)
+        if y <= 0.0:
+            lo, g_lo = x, y
+        else:
+            hi, g_hi = x, y
+        allowed *= 0.5
+        steps += 1
+    return lo, hi, steps
 
 
 # Parameter columns in their fixed sweep order.

@@ -147,6 +147,19 @@ def _power_coeffs(f: TruncatedSeries, order) -> np.ndarray:
     return ((n * (n - 1)) * f.coeffs)[1:]
 
 
+def _in_disk(x, what: str, kinds: str = "iufc") -> np.ndarray:
+    """``x`` as an ndarray of modulus < 1 whose dtype kind is in ``kinds``
+    (integer, float, complex: never bool, text or object); NaN fails the
+    modulus test too."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in kinds:
+        raise ParameterError(f"{what} must be {'numbers' if 'c' in kinds else 'reals'}, "
+                             f"got {x!r}")
+    if not np.all(np.abs(arr) < 1.0):
+        raise OutOfDisk(f"{what} must be finite with modulus < 1")
+    return arr
+
+
 def evaluate(f: TruncatedSeries, z, order: int = 0):
     """Evaluate f, f' or f'' of the truncation at points with |z| < 1.
 
@@ -157,9 +170,7 @@ def evaluate(f: TruncatedSeries, z, order: int = 0):
     here: they evaluate whole rings of equally spaced points with one
     inverse DFT through :func:`evaluate_rings`.
     """
-    zs = np.asarray(z)
-    if np.any(np.abs(zs) >= 1.0):
-        raise OutOfDisk("evaluation points must satisfy |z| < 1")
+    zs = _in_disk(z, "evaluation points")
     out = np.polyval(_power_coeffs(f, order)[::-1], zs.astype(complex))
     if np.isscalar(z) or zs.ndim == 0:
         return complex(out)
@@ -181,8 +192,8 @@ def evaluate_rings(f: TruncatedSeries, radii, angles: int, orders=(0,)) -> np.nd
     the derivative, Horner's own error being of that order; no tail
     estimate is attempted.
     """
-    r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or np.any(np.abs(r) >= 1.0):
+    r = _in_disk(radii, "ring radii", "iuf").astype(float)
+    if r.ndim != 1:
         raise OutOfDisk("ring radii must be a 1-d sequence with |r| < 1")
     k = _integer(angles, 1, "angles per ring")
     width = -(-(f.order + 1) // k) * k  # powers 0..N padded to whole blocks of k

@@ -198,6 +198,26 @@ class TestThreshold:
         header = out.splitlines()[0]
         assert header == "m_star,bracket_lo,bracket_hi,residual,iterations,criterion,warnings"
 
+    @pytest.mark.parametrize("lam, alpha, l, root, allowance", [
+        ("0", "1.0005", "1", 5e-4, 0.0),
+        ("0.7499", "4/3", "0", 5000.0, 5e-9),  # rounding of 1 - alpha*lambda = 1/7500
+    ], ids=["below-ladder", "above-ladder"])
+    def test_root_off_the_ladder(self, capsys, lam, alpha, l, root, allowance):
+        code, out, _ = run(capsys, ["threshold", "--which", "M", "--l", l, "--lambda", lam,
+                                    "--alpha", alpha])
+        assert code == 0
+        assert abs(json.loads(out)["m_star"] - root) <= 1e-10 + allowance
+
+    def test_tolerance_below_float_spacing_returns(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "touchardstar", "threshold", "--which", "M", "--l", "1",
+             "--lambda", "0.3", "--alpha", "1.2", "--tol-m", "1e-17"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        lo, hi = json.loads(proc.stdout)["bracket"]
+        assert math.nextafter(lo, hi) == hi
+
 
 class TestVerifyDisk:
     def test_member_kernel(self, capsys):

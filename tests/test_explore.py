@@ -4,9 +4,10 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import touchardstar.explore as explore
@@ -24,6 +25,7 @@ from touchardstar import (
     sweep,
     theorem_M_lhs,
 )
+from touchardstar.moments import stirling2
 
 ACCEPT_COMBOS = [
     (l, lam, alpha)
@@ -131,6 +133,135 @@ class TestFindThreshold:
             "all_brackets",
         }
         assert d["criterion"] == "M_theorem"
+
+
+def counting(monkeypatch, cap=None):
+    """Route explore.criterion_value through a wrapper that counts its calls
+    and raises once there are more than ``cap``."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if cap is not None and len(calls) > cap:
+            raise RuntimeError(f"more than {cap} criterion evaluations")
+        return criterion_value(*args, **kwargs)
+
+    monkeypatch.setattr(explore, "criterion_value", wrapper)
+    return calls
+
+
+def exact_g(which, l, p, gain):
+    """criterion - bound at m in mpmath, from the exact Stirling rows, with
+    lambda, alpha and gain taken as the exact binary values they hold."""
+    lam, alpha, gain = mpmath.mpf(p.lam), mpmath.mpf(p.alpha), mpmath.mpf(gain)
+
+    def tail(k, m):  # the moment sum over n >= 1
+        return -mpmath.expm1(-m) if k == 0 else \
+            mpmath.fsum(stirling2(k, j) * m**j for j in range(1, k + 1))
+
+    def g(m):
+        if which == "N":
+            value = ((1 - alpha * lam) * tail(l + 2, m) + (2 - alpha * lam - alpha) * tail(l + 1, m)
+                     + (1 - alpha) * tail(l, m))
+        else:
+            value = gain * ((1 - alpha * lam) * tail(l + 1, m) + (1 - alpha) * tail(l, m))
+        return value - (alpha - 1)
+
+    return g
+
+
+#: The fixed grid of the refinement count test: 4 criteria x 5 orders x 4 lambdas x 3 alphas.
+SOLVE_GRID = list(itertools.product(("M", "N", "rtau", "integral"), (0, 3, 6, 9, 12),
+                                    (0.0, 0.25, 0.5, 0.7), (1.05, 1.2, 4.0 / 3.0)))
+LADDER_RUNGS = explore.LADDER_EXPONENTS[1] - explore.LADDER_EXPONENTS[0] + 1
+
+
+class TestThresholdRefinement:
+    """ITP refinement of the first ladder bracket, and roots off the ladder."""
+
+    @given(
+        which=st.sampled_from(["M", "N", "rtau", "integral"]),
+        l=st.integers(0, 12),
+        lam=st.floats(0.0, 0.99),
+        alpha=st.floats(1.001, 4.0 / 3.0),
+        tau=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+        ab=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+            lambda ab: abs(ab[0] - ab[1]) >= 0.01),
+        tol_m=st.sampled_from([1e-12, 1e-10, 1e-7, 1e-4]),
+    )
+    def test_bracket_and_root_against_mpmath(self, which, l, lam, alpha, tau, ab, tol_m):
+        # 1 - alpha*lambda and alpha - 1 at least 1e-3: the rounding of the
+        # closed form's coefficients (relative u / 1e-3) then moves the float
+        # criterion's root by well under 1e-12 m* from the exact one
+        assume(1.0 - alpha * lam >= 1e-3)
+        p = ClassParams(lam, alpha)
+        rtau = RTauParams(tau, max(ab), min(ab)) if which == "rtau" else None
+        result = find_threshold(which, l, p, rtau, tol_m)
+        lo, hi = result.bracket
+        assert criterion_value(which, l, lo, p, rtau).criterion_value <= p.bound
+        assert criterion_value(which, l, hi, p, rtau).criterion_value > p.bound
+        assert 0 < hi - lo and (hi - lo <= tol_m or math.nextafter(lo, hi) == hi)
+        assert lo <= result.m_star <= hi
+        start, end = result.all_brackets[0]
+        assert result.iterations <= max(0, math.ceil(math.log2((end - start) / tol_m))) + 2
+        with mpmath.workdps(50):
+            g = exact_g(which, l, p, rtau.gain if rtau else 1.0)
+            root = mpmath.findroot(g, (mpmath.mpf(lo) * (1 - 1e-9), mpmath.mpf(hi) * (1 + 1e-9)),
+                                   solver="anderson")
+            assert abs(result.m_star - root) <= max(tol_m, hi - lo) + 1e-12 * result.m_star
+
+    def test_mean_refinement_steps_on_fixed_grid(self, monkeypatch):
+        calls = counting(monkeypatch)
+        rtau = RTauParams(1.0, 0.5, -0.5)
+        steps = []
+        for which, l, lam, alpha in SOLVE_GRID:
+            before = len(calls)
+            result = explore.find_threshold(which, l, ClassParams(lam, alpha),
+                                            rtau if which == "rtau" else None)
+            # the ladder, the refinement and the residual, and nothing else:
+            # the two ladder values at the bracket are not evaluated again
+            assert len(calls) - before == LADDER_RUNGS + result.iterations + 1
+            start, end = result.all_brackets[0]
+            assert result.iterations <= math.ceil(math.log2((end - start) / 1e-10)) + 2
+            steps.append(result.iterations)
+        assert len(steps) == 240 and sum(steps) / len(steps) <= 10
+
+    @pytest.mark.parametrize("tol_m", [1e-17, 5e-324])
+    def test_tolerance_below_float_spacing_ends_at_adjacent_floats(self, monkeypatch, tol_m):
+        calls = counting(monkeypatch, cap=200)
+        p = ClassParams(0.3, 1.2)
+        result = explore.find_threshold("M", 1, p, tol_m=tol_m)
+        lo, hi = result.bracket
+        assert math.nextafter(lo, hi) == hi and result.m_star in (lo, hi)
+        assert criterion_value("M", 1, lo, p).criterion_value <= p.bound
+        assert criterion_value("M", 1, hi, p).criterion_value > p.bound
+        assert len(calls) == LADDER_RUNGS + result.iterations + 1
+
+    @pytest.mark.parametrize("lam, alpha, l, root, allowance", [
+        (0.0, 1.0005, 1, 5e-4, 0.0),
+        # 1 - alpha*lambda = 1/7500 carries a rounding of relative 4e-13,
+        # which moves the root of the float criterion by about 2e-9
+        (0.7499, 4.0 / 3.0, 0, 5000.0, 1e-12 * 5000.0),
+    ], ids=["below-ladder", "above-ladder"])
+    def test_root_off_the_ladder(self, lam, alpha, l, root, allowance):
+        p = ClassParams(lam, alpha)
+        result = find_threshold("M", l, p)
+        lo, hi = result.bracket
+        assert abs(result.m_star - root) <= 1e-10 + allowance
+        assert criterion_value("M", l, lo, p).criterion_value <= p.bound
+        assert criterion_value("M", l, hi, p).criterion_value > p.bound
+        assert result.all_brackets == ((2.0 ** math.floor(math.log2(root)),
+                                        2.0 ** math.ceil(math.log2(root))),)
+        assert not result.warnings
+
+    def test_walk_stops_at_the_end_of_the_float_range(self, monkeypatch):
+        # above the bound for every m: the walk goes down to 2^-1074 and stops
+        def above(which, l, m, p, rtau=None):
+            return MembershipReport(1.0, p.bound, False, "closed_form", "")
+
+        monkeypatch.setattr(explore, "criterion_value", above)
+        with pytest.raises(NoThreshold, match=r"no sign change .* \[2\^-1074, 2\^10\]"):
+            explore.find_threshold("M", 0, ClassParams(0.0, 1.2))
 
 
 class TestSweep:

@@ -37,7 +37,9 @@ from touchardstar import (
     sweep,
     tail_moment,
     touchard_series,
+    verify_M,
     verify_N,
+    verify_rtau,
 )
 from touchardstar import disk, explore
 from touchardstar.cli import main
@@ -187,7 +189,9 @@ NUMERIC_ARGUMENTS = {
     "stirling2.k": lambda v: stirling2(3, v),
     "rtau_coeff_bound.n": lambda v: rtau_coeff_bound(v, RTauParams(1.0, 1.0, -1.0)),
     "TruncatedSeries.a.n": lambda v: F.a(v),
+    "evaluate.z": lambda v: evaluate(F, v),
     "evaluate.order": lambda v: evaluate(F, 0.1, v),
+    "evaluate_rings.radii": lambda v: evaluate_rings(F, (v,), 4),
     "evaluate_rings.orders": lambda v: evaluate_rings(F, (0.5,), 4, (v,)),
     "evaluate_rings.angles": lambda v: evaluate_rings(F, (0.5,), v),
 }
@@ -236,6 +240,33 @@ class TestFlagsAndOrders:
     def test_nonneg_flag(self, flag):
         with pytest.raises(ParameterError):
             TruncatedSeries([1.0, 0.5], nonneg=flag)
+
+    @pytest.mark.parametrize("flag", ["no", 1, np.float64(0.0), None])
+    @pytest.mark.parametrize("verify, params", [
+        (verify_M, P), (verify_N, P), (verify_rtau, RTauParams(1.0, 0.5, -0.5))])
+    def test_keep_samples_flag(self, verify, params, flag):
+        with pytest.raises(ParameterError, match="keep_samples"):
+            verify(F, params, DiskGrid((0.5,), 4), keep_samples=flag)
+
+
+class TestPointsAndRadii:
+    """Points and ring radii: finite numbers of modulus < 1, negative radii allowed."""
+
+    @pytest.mark.parametrize("points", [np.array([0.5, complex(math.nan, 0)]), ["0.5"],
+                                        [0.1, None]])
+    def test_evaluate_rejects(self, points):
+        with pytest.raises(ParameterError):
+            evaluate(F, points)
+
+    @pytest.mark.parametrize("radii", [(0.5, math.nan), ("0.5",), (0.5, "0.5"), (0.5j,),
+                                       (None,)])
+    def test_evaluate_rings_rejects(self, radii):
+        with pytest.raises(ParameterError):
+            evaluate_rings(F, radii, 4)
+
+    def test_negative_and_integer_radii_accepted(self):
+        got = evaluate_rings(F, (-0.5, 0), 2)
+        assert got[0, :, 0].tolist() == [evaluate(F, -0.5), evaluate(F, 0)]
 
 
 class TestTau:
