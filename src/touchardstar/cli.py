@@ -5,7 +5,7 @@ data goes to stdout, diagnostics to stderr, so sweeps are pipeline safe.
 
 Exit codes: 0 the computation ran (whatever the verdict), 2 invalid
 parameters, 3 numeric failure (series would not converge, no threshold
-bracketed).
+bracketed, a value overflows a float).
 """
 
 from __future__ import annotations

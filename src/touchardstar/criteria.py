@@ -201,7 +201,7 @@ def _coefficient_sum(f: TruncatedSeries, p: ClassParams, convex: bool) -> Member
     if convex:
         w = n * w
     terms = w * f.coeffs[1:]
-    value = math.fsum(terms)
+    value = math.fsum(terms.tolist())
     negative = n[(w < 0) & (f.coeffs[1:] > 0)]
     detail = "coefficient sum over n = 2..%d" % f.order
     if negative.size:

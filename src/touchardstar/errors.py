@@ -3,7 +3,8 @@
 Two families matter to callers: :class:`ParameterError` for inputs that are
 outside a function's domain (rejected before any numerics run), and
 :class:`NumericFailure` for computations that started but could not finish
-(a series that will not converge, a root scan that finds no bracket).
+(a series that will not converge, a root scan that finds no bracket, a
+value that overflows a float).
 The command-line front end maps the families to exit codes 2 and 3.
 """
 

@@ -26,7 +26,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 
-from .errors import InvalidIndex, NoConvergence, OrderTooLarge, ParameterError
+from .errors import InvalidIndex, NoConvergence, NumericFailure, OrderTooLarge, ParameterError
 
 #: Largest moment order kept in the exact Stirling table.  Values for l <= 64
 #: fit comfortably in Python integers; the cap exists so a typo cannot demand
@@ -206,10 +206,14 @@ def poisson_moment_series(
 
     Accepts any real l >= 0 (the only route for non-integer orders).  Terms
     are generated from their predecessor by the ratio
-    ((n+1)/n)**l * m/(n+1), so no factorial is ever formed, and accumulated
-    with Kahan compensation.  Summation stops once the next term t, with all
-    later term ratios bounded by some rho < 1/2, certifies a geometric tail
-    t/(1-rho) below ``tol``; that bound is reported.
+    ((n+1)/n)**l * m/(n+1), multiplied in as term * ((n+1)/n)**l * (m/(n+1)),
+    so no factorial is ever formed, and accumulated with Kahan compensation.
+    Summation stops once the next term t, with all later term ratios bounded
+    by some rho < 1/2, certifies a geometric tail t/(1-rho) below ``tol``;
+    that bound is reported.  Each step's rho is the next step's ratio, so
+    its two factors are carried over and a step raises one power, not two.
+    A power, a term or the sum that overflows a float raises
+    NumericFailure; NoConvergence means the term cap ran out first.
 
     The n = 0 term uses the 0**0 = 1 convention, so it contributes exp(-m)
     when l = 0 and nothing when l > 0.
@@ -227,23 +231,33 @@ def poisson_moment_series(
     comp = 0.0  # Kahan carry
     term = scale * m  # n = 1 term: 1**l * m**1 / 1!
     n = 1
-    while n <= term_cap:
-        # add `term` (index n) with compensation
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        terms += 1
-        nxt = term * ((n + 1.0) / n) ** l * (m / (n + 1.0))
-        rho = ((n + 2.0) / (n + 1.0)) ** l * (m / (n + 2.0))
-        if rho < 0.5:
-            bound = nxt / (1.0 - rho)
-            if bound < tol:
-                return MomentValue(
-                    value=total, method=METHOD_SERIES, truncation_terms=terms, tail_bound=bound
-                )
-        term = nxt
-        n += 1
+    try:
+        pw, q = 2.0 ** l, m / 2.0  # the two factors of the ratio from n = 1 to n = 2
+        while n <= term_cap:
+            # add `term` (index n) with compensation
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            terms += 1
+            nxt = term * pw * q
+            if not nxt < math.inf:
+                raise OverflowError
+            # the ratio from n + 1 to n + 2: rho now, the next step's factors after
+            pw, q = ((n + 2.0) / (n + 1.0)) ** l, m / (n + 2.0)
+            rho = pw * q
+            if rho < 0.5:
+                bound = nxt / (1.0 - rho)
+                if bound < tol:
+                    if not total < math.inf:  # finite terms whose sum overflows
+                        raise OverflowError
+                    return MomentValue(
+                        value=total, method=METHOD_SERIES, truncation_terms=terms, tail_bound=bound
+                    )
+            term = nxt
+            n += 1
+    except OverflowError:  # a power, a term or the sum past the largest float
+        raise NumericFailure(f"moment series for l={l}, m={m} overflows a float") from None
     raise NoConvergence(
         f"series for l={l}, m={m} did not certify tail < {tol} within {term_cap} terms"
     )

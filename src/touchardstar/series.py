@@ -19,13 +19,21 @@ import math
 
 import numpy as np
 
-from .errors import InvalidOrder, OutOfDisk, ParameterError
-from .moments import TouchardParams, _integer
+from .errors import InvalidOrder, NumericFailure, OutOfDisk, ParameterError
+from .moments import L_MAX, TouchardParams, _integer
 
 #: Default truncation order.  Doubling it moves every criterion value
 #: reported downstream by far less than 1e-12 for m <= 10 (the coefficients
 #: decay factorially), which the test suite checks.
 DEFAULT_ORDER = 64
+
+#: Natural log of the largest float (709.78), less a margin for rounding.
+_LOG_FLOAT_MAX = 700.0
+
+# Row l holds (n/(n-1))**l for n = 2, 3, ..., as long as the longest
+# truncation asked for.  A longer row replaces a shorter one and no row is
+# mutated, so concurrent readers are safe.
+_RATIO_POWERS: dict[int, np.ndarray] = {}
 
 
 class TruncatedSeries:
@@ -45,24 +53,24 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "nonneg")
 
     def __init__(self, coeffs, nonneg: bool | None = None):
-        arr = np.asarray(coeffs, dtype=float)
+        arr = np.array(coeffs, dtype=float)  # a private copy, locked below
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("coefficients must be a nonempty 1-d sequence a_1..a_N")
-        if not np.all(np.isfinite(arr)):
+        lo = np.minimum.reduce(arr)  # NaN if any coefficient is NaN
+        if not (-math.inf < lo and np.maximum.reduce(arr) < math.inf):
             raise ParameterError("coefficients must be finite")
         if arr[0] != 1.0:
             raise ParameterError(f"normalization requires a_1 = 1, got a_1 = {arr[0]!r}")
-        actually_nonneg = bool(np.all(arr[1:] >= 0.0))
+        actually_nonneg = bool(lo >= 0.0)  # a_1 = 1, so the minimum is over a_2..a_N
         if nonneg is None:
             nonneg = actually_nonneg
         elif not isinstance(nonneg, bool):
             raise ParameterError(f"nonneg must be True, False or None, got {nonneg!r}")
         elif nonneg and not actually_nonneg:
             raise ParameterError("nonneg flag set but a negative coefficient is present")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "nonneg", bool(nonneg))
+        object.__setattr__(self, "nonneg", nonneg)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -86,23 +94,61 @@ def touchard_series(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trunc
     """The normalized Poisson-weighted series for integer l >= 0, m > 0.
 
     a_1 = 1 and a_n = (n-1)**l * m**(n-1) / (n-1)! * exp(-m) for n >= 2.
-    Consecutive coefficients differ by the ratio (n/(n-1))**l * m/n, which
-    is how they are generated (no factorials); the exp(-m) factor is applied
-    last so the intermediate terms stay well scaled.
+    Consecutive coefficients differ by the ratio r_n = (n/(n-1))**l * (m/n),
+    so a_2..a_N before scaling are one cumulative product of
+    [m, r_2, ..., r_{N-1}] (no factorials), taken in the order the
+    recurrence multiplies; the exp(-m) factor is applied last.  That order
+    does not keep the terms well scaled: exp(-m) underflows to 0 past
+    m = 745, zeroing every coefficient, and an unscaled term past the
+    largest float (l = 64, m = 1000, N = 200, or l >= 1024 with N >= 3,
+    where 2.0**l itself overflows) raises NumericFailure instead of coming
+    back as inf or NaN.
     """
     l = params.integer_order
     m = params.m
     order = _integer(order, 2, "truncation order", InvalidOrder)
     u = np.empty(order)
     u[0] = 1.0
-    term = m  # n = 2 term before scaling: 1**l * m / 1!
-    u[1] = term
-    for n in range(2, order):
-        # step from the coefficient of z**n to that of z**(n+1)
-        term *= (n / (n - 1.0)) ** l * (m / n)
-        u[n] = term
-    u[1:] *= math.exp(-m)
+    terms = u[1:]
+    k = order - 1
+    # Every unscaled term j**l m**j / j!, j <= k, is at most k**l max(m, 1)**k.
+    # Below the float range nothing can overflow, so the errstate guard
+    # (about as dear as the product itself) is entered only past it.
+    if l * math.log(k) + k * math.log(max(m, 1.0)) < _LOG_FLOAT_MAX:
+        _unscaled_terms(terms, l, m)
+    else:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _unscaled_terms(terms, l, m)
+        except OverflowError:  # (n/(n-1))**l itself
+            terms[-1] = math.inf
+        if not terms[-1] < math.inf:  # an overflow carries to the last term
+            raise NumericFailure(f"kernel coefficients for l={l}, m={m} up to order {order} "
+                                 "overflow a float")
+    terms *= math.exp(-m)
     return TruncatedSeries(u, nonneg=True)
+
+
+def _unscaled_terms(v: np.ndarray, l: int, m: float) -> None:
+    """Fill ``v`` with j**l m**j / j! for j = 1..v.size, in place: the
+    cumulative product of m and the ratios r_n = (n/(n-1))**l * (m/n)."""
+    v[0] = m
+    r = v[1:]
+    np.divide(m, np.arange(2.0, v.size + 1), out=r)
+    r *= _ratio_powers(l, r.size)
+    np.multiply.accumulate(v, out=v)
+
+
+def _ratio_powers(l: int, count: int) -> np.ndarray:
+    """(n/(n-1))**l for n = 2..count+1 by Python's ``**``, which numpy's
+    power does not match bit for bit; cached by l <= L_MAX."""
+    row = _RATIO_POWERS.get(l)
+    if row is None or row.size < count:
+        row = np.array([(n / (n - 1.0)) ** l for n in range(2, count + 2)])
+        row.flags.writeable = False
+        if l <= L_MAX:
+            _RATIO_POWERS[l] = row
+    return row[:count]
 
 
 def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -121,7 +167,7 @@ def apply_operator_I(params: TouchardParams, f: TruncatedSeries) -> TruncatedSer
     The n-th coefficient of the result is
     (n-1)**l * m**(n-1)/(n-1)! * exp(-m) * a_n.
     """
-    return hadamard(touchard_series(params, f.order), f)
+    return hadamard(touchard_series(params, max(f.order, 2)), f)
 
 
 def apply_operator_L(params: TouchardParams, order: int = DEFAULT_ORDER) -> TruncatedSeries:
