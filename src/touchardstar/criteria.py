@@ -37,8 +37,9 @@ import numbers
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import NegativeCoefficient, NumericFailure, ParameterError
+from .errors import NegativeCoefficient, NumericFailure, OrderTooLarge, ParameterError
 from .moments import (
+    L_MAX,
     METHOD_CLOSED,
     TouchardParams,
     _as_integer_order,
@@ -64,12 +65,14 @@ ALPHA_MAX = 4.0 / 3.0
 class Criterion(NamedTuple):
     """A closed-form criterion: its threshold-result label, its report
     ``detail``, the :mod:`disk` function sampling its analytic condition
-    ("" for none) and whether it takes (tau, A, B)."""
+    ("" for none), whether it takes (tau, A, B) and the largest l it takes
+    (it reads moments up to order l + 1, N up to l + 2, of at most L_MAX)."""
 
     label: str
     detail: str
     disk: str = ""
     needs_rtau: bool = False
+    max_l: int = L_MAX - 1
 
 
 _TAILS = "closed form via shifted moment tails"
@@ -77,7 +80,7 @@ _TAILS = "closed form via shifted moment tails"
 #: The closed-form criteria by name, in the order the command line lists them.
 CRITERIA = {
     "M": Criterion("M_theorem", _TAILS, "verify_M"),
-    "N": Criterion("N_theorem", _TAILS, "verify_N"),
+    "N": Criterion("N_theorem", _TAILS, "verify_N", max_l=L_MAX - 2),
     "rtau": Criterion(
         "rtau",
         "sufficient condition: (A-B)|tau| times the starlike-type closed form "
@@ -88,6 +91,14 @@ CRITERIA = {
         "1/n coefficient of the integral transform cancels the n of the convex-type weight; "
         "value identical to the starlike-type criterion"),
 }
+
+
+def _criterion(which) -> Criterion:
+    try:
+        return CRITERIA[which]
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable, such as a list
+        raise ParameterError(
+            f"unknown criterion {which!r}; expected one of {', '.join(CRITERIA)}") from None
 
 
 _check_lam = _real_check(lambda lam: 0 <= lam < 1, "lambda must lie in [0, 1)")
@@ -180,13 +191,12 @@ class MembershipReport:
 def _verdict(value: float, p: ClassParams, method: str, detail: str) -> MembershipReport:
     if not math.isfinite(value):
         raise NumericFailure(f"criterion value {value!r} is not finite ({detail})")
-    return MembershipReport(
-        criterion_value=float(value),
-        bound=p.bound,
-        member=bool(value <= p.bound + TOL_EQ),
-        method=method,
-        detail=detail,
-    )
+    value, bound = float(value), p.bound
+    report = object.__new__(MembershipReport)  # filled at once, not by a setattr per field
+    object.__setattr__(report, "__dict__", {
+        "criterion_value": value, "bound": bound, "member": value <= bound + TOL_EQ,
+        "method": method, "detail": detail})
+    return report
 
 
 def _coefficient_sum(f: TruncatedSeries, p: ClassParams, convex: bool) -> MembershipReport:
@@ -244,9 +254,17 @@ def closed_form(which: str, l: int, m, lam, alpha, gain=1.0):
     return gain * ((1.0 - alpha * lam) * tail_kernel(l + 1, m) + (1.0 - alpha) * tail_kernel(l, m))
 
 
-def _closed(which: str, l, m, p: ClassParams, gain=1.0) -> MembershipReport:
-    value = closed_form(which, _as_integer_order(l), _check_m(m), p.lam, p.alpha, gain)
-    return _verdict(value, p, METHOD_CLOSED, CRITERIA[which].detail)
+def _closed(which: str, l, m, p: ClassParams, rtau: RTauParams | None = None) -> MembershipReport:
+    """Criterion ``which`` at one point; checks name, (tau, A, B), l, m, then l's cap."""
+    c = _criterion(which)
+    if c.needs_rtau and rtau is None:
+        raise ParameterError(f"criterion {which!r} needs (tau, A, B) parameters")
+    gain = rtau.gain if c.needs_rtau else 1.0
+    order, m = _as_integer_order(l), _check_m(m)
+    if order > c.max_l:
+        raise OrderTooLarge(f"order l={order} exceeds {c.max_l}, the largest criterion {which!r} "
+                            f"takes (it reads moments of order l+{L_MAX - c.max_l} <= {L_MAX})")
+    return _verdict(closed_form(which, order, m, p.lam, p.alpha, gain), p, METHOD_CLOSED, c.detail)
 
 
 def theorem_M_lhs(tp: TouchardParams, p: ClassParams) -> MembershipReport:
@@ -275,7 +293,7 @@ def theorem_rtau_inclusion(
     upper envelope, so the extremal coefficient sequence need not belong to
     the class itself.
     """
-    return _closed("rtau", tp.l, tp.m, p, r.gain)
+    return _closed("rtau", tp.l, tp.m, p, r)
 
 
 def theorem_integral_operator(tp: TouchardParams, p: ClassParams) -> MembershipReport:

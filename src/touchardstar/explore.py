@@ -28,13 +28,13 @@ from .criteria import (
     CRITERIA,
     TOL_EQ,
     ClassParams,
-    Criterion,
     MembershipReport,
     RTauParams,
     _check_alpha,
     _check_lam,
     _closed,
     _complex,
+    _criterion,
     closed_form,
 )
 from .errors import NoThreshold, ParameterError
@@ -53,23 +53,10 @@ LADDER_EXPONENTS = (-10, 10)
 _FLOAT_EXPONENTS = (-1074, 1023)
 
 
-def _criterion(which) -> Criterion:
-    try:
-        return CRITERIA[which]
-    except (KeyError, TypeError):  # TypeError: a name that is not hashable, such as a list
-        raise ParameterError(
-            f"unknown criterion {which!r}; expected one of {', '.join(CRITERIA)}") from None
-
-
 def criterion_value(which: str, l: int, m: float, p: ClassParams,
                     rtau: RTauParams | None = None) -> MembershipReport:
     """Closed-form membership report for one criterion at one parameter point."""
-    gain = 1.0
-    if _criterion(which).needs_rtau:
-        if rtau is None:
-            raise ParameterError(f"criterion {which!r} needs (tau, A, B) parameters")
-        gain = rtau.gain
-    return _closed(which, l, m, p, gain)
+    return _closed(which, l, m, p, rtau)
 
 
 @dataclass(frozen=True)
@@ -118,9 +105,10 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
     goes through :func:`criterion_value`.
     """
     tol_m = _check_tol(tol_m)
+    bound = p.bound
 
     def g(m: float) -> float:
-        return criterion_value(which, l, m, p, rtau).criterion_value - p.bound
+        return criterion_value(which, l, m, p, rtau).criterion_value - bound
 
     k_lo, k_hi = LADDER_EXPONENTS
     # rungs are (m, g(m)) pairs; the first checks the parameters before the

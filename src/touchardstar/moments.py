@@ -82,7 +82,10 @@ class MomentValue:
 def _real(x) -> float:
     """``x`` as a float if it is a finite ``numbers.Real`` but not a bool
     (numpy scalars count; an int too large for a float does not), else NaN,
-    which fails every range check."""
+    which fails every range check.  A finite value of exact type float skips
+    the checks, which would return it as it is; all else goes through them."""
+    if type(x) is float and -math.inf < x < math.inf:
+        return x
     # int and float first: the numbers.Real (ABC) check is the slow one
     if isinstance(x, bool) or not isinstance(x, (int, float, numbers.Real)):
         return math.nan
@@ -119,6 +122,9 @@ _check_tol = _real_check(lambda tol: tol > 0, "tolerance must be a positive fini
 
 
 def _as_integer_order(l) -> int:
+    """``l`` as an int, else ParameterError; an int (exact type) in 0..L_MAX skips the checks."""
+    if type(l) is int and 0 <= l <= L_MAX:
+        return l
     if not _check_real_order(l).is_integer():
         raise ParameterError(
             f"closed-form path takes integer moment orders only, got l={l!r} "
@@ -131,7 +137,7 @@ def _as_integer_order(l) -> int:
 # Row l holds S(l, 0..l) as exact Python ints.  Rows are appended once and
 # never mutated afterwards, so concurrent readers are safe.
 _STIRLING_ROWS: list[list[int]] = [[1]]
-# Row l as floats S(l, l), ..., S(l, 0), highest power first, for Horner.
+# Row l as floats for Horner, highest power first: S(l, l), (S(l, l-1), ..., S(l, 0)).
 _HORNER_ROWS: dict[int, tuple] = {}
 
 
@@ -176,10 +182,10 @@ def tail_kernel(l: int, m):
         tails = map(math.expm1, (-m).ravel().tolist())
         return -np.fromiter(tails, float, m.size).reshape(m.shape)
     if l not in _HORNER_ROWS:
-        _HORNER_ROWS[l] = tuple(float(stirling2(l, k)) for k in range(l, -1, -1))
-    row = _HORNER_ROWS[l]
-    value = row[0]
-    for c in row[1:]:
+        row = tuple(float(stirling2(l, k)) for k in range(l, -1, -1))
+        _HORNER_ROWS[l] = row[0], row[1:]
+    value, rest = _HORNER_ROWS[l]
+    for c in rest:
         value *= m  # in place once value is an array: the fresh result of 1.0 * m
         value += c
     return value

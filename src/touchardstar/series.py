@@ -104,8 +104,12 @@ def touchard_series(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trunc
     where 2.0**l itself overflows) raises NumericFailure instead of coming
     back as inf or NaN.
     """
-    l = params.integer_order
-    m = params.m
+    return TruncatedSeries(_kernel(params, order), nonneg=True)
+
+
+def _kernel(params: TouchardParams, order) -> np.ndarray:
+    """:func:`touchard_series`'s coefficients as a fresh unchecked array, to scale in place."""
+    l, m = params.integer_order, params.m
     order = _integer(order, 2, "truncation order", InvalidOrder)
     u = np.empty(order)
     u[0] = 1.0
@@ -126,7 +130,7 @@ def touchard_series(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trunc
             raise NumericFailure(f"kernel coefficients for l={l}, m={m} up to order {order} "
                                  "overflow a float")
     terms *= math.exp(-m)
-    return TruncatedSeries(u, nonneg=True)
+    return u
 
 
 def _unscaled_terms(v: np.ndarray, l: int, m: float) -> None:
@@ -167,7 +171,8 @@ def apply_operator_I(params: TouchardParams, f: TruncatedSeries) -> TruncatedSer
     The n-th coefficient of the result is
     (n-1)**l * m**(n-1)/(n-1)! * exp(-m) * a_n.
     """
-    return hadamard(touchard_series(params, max(f.order, 2)), f)
+    u = _kernel(params, max(f.order, 2))[:f.order]
+    return TruncatedSeries(np.multiply(u, f.coeffs, out=u))
 
 
 def apply_operator_L(params: TouchardParams, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -176,9 +181,8 @@ def apply_operator_L(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trun
     Termwise this is the antiderivative of (kernel series)/z from 0, i.e.
     integrating z**(n-1) to z**n / n; a_1 stays 1.
     """
-    base = touchard_series(params, order)
-    n = np.arange(1, order + 1, dtype=float)
-    return TruncatedSeries(base.coeffs / n)
+    u = _kernel(params, order)
+    return TruncatedSeries(np.divide(u, np.arange(1, u.size + 1, dtype=float), out=u))
 
 
 def _power_coeffs(f: TruncatedSeries, order) -> np.ndarray:
