@@ -36,12 +36,12 @@ _EXPORTS = {
         ("SweepTable", "ThresholdResult", "criterion_value", "find_threshold", "sweep"),
         "explore"),
     **dict.fromkeys(
-        ("L_MAX", "MomentValue", "TouchardParams", "poisson_moment_closed",
+        ("DEFAULT_ORDER", "L_MAX", "MomentValue", "TouchardParams", "poisson_moment_closed",
          "poisson_moment_series", "stirling2", "tail_moment"),
         "moments"),
     **dict.fromkeys(
-        ("DEFAULT_ORDER", "TruncatedSeries", "apply_operator_I", "apply_operator_L", "evaluate",
-         "evaluate_rings", "hadamard", "series_from_csv", "series_to_csv", "touchard_series"),
+        ("TruncatedSeries", "apply_operator_I", "apply_operator_L", "evaluate", "evaluate_rings",
+         "hadamard", "series_from_csv", "series_to_csv", "touchard_series"),
         "series"),
 }
 

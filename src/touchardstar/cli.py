@@ -2,6 +2,7 @@
 
 Every operation is reachable as a subcommand with machine-readable output:
 data goes to stdout, diagnostics to stderr, so sweeps are pipeline safe.
+Each handler returns its rendered text, which :func:`main` writes once.
 
 Exit codes: 0 the computation ran (whatever the verdict), 2 invalid
 parameters, 3 numeric failure (series would not converge, no threshold
@@ -20,7 +21,7 @@ from .criteria import CRITERIA, ClassParams, RTauParams, _complex, lemma_sum_M, 
 from .errors import NumericFailure, ParameterError
 from .explore import criterion_value, find_threshold, sweep
 from .formats import canonical_json, human_lines, one_line_csv
-from .moments import TouchardParams, poisson_moment_closed, poisson_moment_series
+from .moments import DEFAULT_ORDER, TouchardParams, poisson_moment_closed, poisson_moment_series
 
 # The series and disk modules need numpy; the handlers that use them import
 # them when they run, so the closed-form subcommands start without it.
@@ -42,15 +43,14 @@ def _parse_alpha(text: str) -> float:
         raise argparse.ArgumentTypeError(f"alpha must be a decimal or the literal 4/3, got {text!r}")
 
 
-def _emit(args, record: dict, flat: dict | None = None) -> None:
-    """Print ``record`` in the chosen format; csv prints ``flat`` (no nesting) if given."""
+def _emit(args, record: dict, flat: dict | None = None) -> str:
+    """``record`` in the chosen format; csv renders ``flat`` (no nesting) if given."""
     if args.format == "json":
-        print(canonical_json(record))
-    elif args.format == "csv":
+        return canonical_json(record) + "\n"
+    if args.format == "csv":
         flat = flat or record
-        sys.stdout.write(one_line_csv(list(flat), flat))
-    else:
-        sys.stdout.write(human_lines(record))
+        return one_line_csv(list(flat), flat)
+    return human_lines(record)
 
 
 def _load_series(args):
@@ -73,6 +73,15 @@ def _add_rtau_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=_complex, help="nonzero complex tau of the distortion class")
     p.add_argument("--A", type=float, help="upper distortion parameter")
     p.add_argument("--B", type=float, help="lower distortion parameter")
+
+
+def _add_source_flags(p: argparse.ArgumentParser, series_help: str) -> None:
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--touchard", nargs=2, type=float, metavar=("L", "M"),
+                     help="use the kernel series with these (l, m)")
+    src.add_argument("--series", metavar="FILE", help=series_help)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                   help="truncation order for --touchard")
 
 
 def _add_format_flag(p: argparse.ArgumentParser, default: str = "json") -> None:
@@ -108,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="coefficients of the Poisson-weighted kernel series")
     p.add_argument("--l", type=float, required=True, help="integer moment order")
     p.add_argument("--m", type=float, required=True, help="Poisson parameter")
-    p.add_argument("--order", type=int, default=64, help="truncation order N >= 2")
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="truncation order N >= 2")
     _add_format_flag(p, default="csv")
     p.set_defaults(func=_cmd_coeffs)
 
@@ -117,11 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", choices=tuple(_CLASS_TESTS), required=True,
                    help="Mstar = starlike type, Nstar = convex type")
     _add_class_flags(p)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--touchard", nargs=2, type=float, metavar=("L", "M"),
-                     help="use the kernel series with these (l, m)")
-    src.add_argument("--series", metavar="FILE", help="CSV file of n,a_n rows (a_1 = 1)")
-    p.add_argument("--order", type=int, default=64, help="truncation order for --touchard")
+    _add_source_flags(p, "CSV file of n,a_n rows (a_1 = 1)")
     _add_format_flag(p)
     p.set_defaults(func=_cmd_check_class)
 
@@ -150,11 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, help="class parameter (M/N only)")
     p.add_argument("--alpha", type=_parse_alpha, help="class order (M/N only)")
     _add_rtau_flags(p)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--touchard", nargs=2, type=float, metavar=("L", "M"),
-                     help="use the kernel series with these (l, m)")
-    src.add_argument("--series", metavar="FILE", help="CSV file of n,a_n rows")
-    p.add_argument("--order", type=int, default=64, help="truncation order for --touchard")
+    _add_source_flags(p, "CSV file of n,a_n rows")
     p.add_argument("--rmax", type=float, default=0.95, help="outermost sampled radius (< 1)")
     p.add_argument("--rings", type=int, default=19, help="number of radii")
     p.add_argument("--angles", type=int, default=96, help="angles per radius")
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_moment(args) -> int:
+def _cmd_moment(args) -> str:
     if args.series:
         mv = poisson_moment_series(args.l, args.m, args.tol)
         if not args.l.is_integer():  # l is finite once the series accepted it
@@ -187,38 +188,33 @@ def _cmd_moment(args) -> int:
                   file=sys.stderr)
     else:
         mv = poisson_moment_closed(args.l, args.m)
-    _emit(args, mv.to_dict())
-    return 0
+    return _emit(args, mv.to_dict())
 
 
-def _cmd_coeffs(args) -> int:
+def _cmd_coeffs(args) -> str:
     from .series import series_to_csv, touchard_series
 
     f = touchard_series(TouchardParams(args.l, args.m), args.order)
     if args.format == "json":
-        print(canonical_json({"order": f.order, "coeffs": [float(c) for c in f.coeffs]}))
-    else:
-        sys.stdout.write(series_to_csv(f))
-    return 0
+        return _emit(args, {"order": f.order, "coeffs": f.coeffs.tolist()})
+    return series_to_csv(f)
 
 
-def _cmd_check_class(args) -> int:
+def _cmd_check_class(args) -> str:
     report = _CLASS_TESTS[args.klass](_load_series(args), ClassParams(args.lam, args.alpha))
-    _emit(args, report.to_dict())
-    return 0
+    return _emit(args, report.to_dict())
 
 
-def _cmd_check_theorem(args) -> int:
+def _cmd_check_theorem(args) -> str:
     report = criterion_value(args.which, args.l, args.m, ClassParams(args.lam, args.alpha),
                              _rtau_from_args(args))
-    _emit(args, report.to_dict())
-    return 0
+    return _emit(args, report.to_dict())
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args) -> str:
     result = find_threshold(args.which, args.l, ClassParams(args.lam, args.alpha),
                             _rtau_from_args(args), tol_m=args.tol_m)
-    _emit(args, result.to_dict(), {
+    return _emit(args, result.to_dict(), {
         "m_star": result.m_star,
         "bracket_lo": result.bracket[0],
         "bracket_hi": result.bracket[1],
@@ -227,10 +223,9 @@ def _cmd_threshold(args) -> int:
         "criterion": result.criterion,
         "warnings": ";".join(result.warnings),
     })
-    return 0
 
 
-def _cmd_verify_disk(args) -> int:
+def _cmd_verify_disk(args) -> str:
     from . import disk
 
     f = _load_series(args)
@@ -247,7 +242,7 @@ def _cmd_verify_disk(args) -> int:
         print(f"wrote per-sample values to {args.dump_samples}", file=sys.stderr)
     record = report.to_dict()
     arg = record["arg_of_max"] or {"re": None, "im": None}
-    _emit(args, record, {
+    return _emit(args, record, {
         "max_real_part": record["max_real_part"],
         "arg_re": arg["re"],
         "arg_im": arg["im"],
@@ -255,10 +250,9 @@ def _cmd_verify_disk(args) -> int:
         "samples": record["samples"],
         "degenerate_samples": record["degenerate_samples"],
     })
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     try:
         spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
@@ -268,21 +262,20 @@ def _cmd_sweep(args) -> int:
     which = spec.pop("criterion")
     table = sweep(which, spec)
     if args.format == "json":
-        print(canonical_json(table.to_dict()))
-    elif args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        sys.stdout.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            sys.stdout.write(" ".join(f"{c}={row[c]}" for c in table.columns) + "\n")
-    return 0
+        return _emit(args, table.to_dict())
+    if args.format == "csv":
+        return table.to_csv()
+    columns = table.columns
+    return "".join([",".join(columns) + "\n"]
+                   + [" ".join(f"{c}={row[c]}" for c in columns) + "\n" for row in table.rows])
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        sys.stdout.write(args.func(args))
+        return 0
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NegativeCoefficient, NumericFailure, OrderTooLarge, ParameterError
 from .moments import (
+    DEFAULT_ORDER,
     L_MAX,
     METHOD_CLOSED,
     TouchardParams,
@@ -306,14 +307,16 @@ def theorem_integral_operator(tp: TouchardParams, p: ClassParams) -> MembershipR
     return _closed("integral", tp.l, tp.m, p)
 
 
-def brute_force_M(tp: TouchardParams, p: ClassParams, order: int = 64) -> MembershipReport:
+def brute_force_M(tp: TouchardParams, p: ClassParams,
+                  order: int = DEFAULT_ORDER) -> MembershipReport:
     """Truncated coefficient-sum counterpart of :func:`theorem_M_lhs`."""
     from .series import touchard_series  # numpy-backed, so loaded on first use
 
     return lemma_sum_M(touchard_series(tp, order), p)
 
 
-def brute_force_N(tp: TouchardParams, p: ClassParams, order: int = 64) -> MembershipReport:
+def brute_force_N(tp: TouchardParams, p: ClassParams,
+                  order: int = DEFAULT_ORDER) -> MembershipReport:
     """Truncated coefficient-sum counterpart of :func:`theorem_N_lhs`."""
     from .series import touchard_series  # numpy-backed, so loaded on first use
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .criteria import ClassParams, RTauParams
 from .errors import ParameterError
+from .formats import rows_csv
 from .moments import _integer, _real_check
 from .series import TruncatedSeries, evaluate_rings
 
@@ -46,7 +47,7 @@ class DiskGrid:
     angles_per_ring: int
 
     def __post_init__(self) -> None:
-        radii = tuple(map(_check_radius, self.radii))
+        radii = tuple(map(_check_radius, self.radii)) if np.iterable(self.radii) else ()
         if not radii:
             raise ParameterError("grid radii must be a nonempty list inside (0, 1)")
         object.__setattr__(self, "radii", radii)
@@ -175,7 +176,6 @@ def samples_to_csv(grid: DiskGrid, report: VerificationReport) -> str:
     """
     if report.sample_values is None:
         raise ParameterError("report carries no per-sample values; rerun with keep_samples=True")
-    from .formats import rows_csv  # the CLI's renderer, loaded only when asked for
     return rows_csv(("re", "im", "value"), (
         {"re": zk.real, "im": zk.imag, "value": None if np.isnan(vk) else float(vk)}
         for zk, vk in zip(grid.points().tolist(), report.sample_values)))

@@ -26,7 +26,7 @@ class InvalidIndex(ParameterError):
 
 
 class InvalidOrder(ParameterError):
-    """Series truncation order below the minimum of 2."""
+    """Series truncation order outside 2..SERIES_TERM_CAP."""
 
 
 class OutOfDisk(ParameterError):

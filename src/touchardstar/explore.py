@@ -38,6 +38,7 @@ from .criteria import (
     closed_form,
 )
 from .errors import NoThreshold, ParameterError
+from .formats import rows_csv
 from .moments import _as_integer_order, _check_m, _check_tol
 
 #: Geometric scan ladder: m = 2**k for k in this inclusive range.  It holds
@@ -228,7 +229,6 @@ class SweepTable:
         }
 
     def to_csv(self) -> str:
-        from .formats import rows_csv  # the CLI's renderer, loaded only when asked for
         return rows_csv(self.columns, self.rows)
 
 

@@ -20,12 +20,8 @@ import math
 import numpy as np
 
 from .errors import InvalidOrder, NumericFailure, OutOfDisk, ParameterError
-from .moments import L_MAX, TouchardParams, _integer
-
-#: Default truncation order.  Doubling it moves every criterion value
-#: reported downstream by far less than 1e-12 for m <= 10 (the coefficients
-#: decay factorially), which the test suite checks.
-DEFAULT_ORDER = 64
+from .formats import rows_csv
+from .moments import DEFAULT_ORDER, L_MAX, SERIES_TERM_CAP, TouchardParams, _integer
 
 #: Natural log of the largest float (709.78), less a margin for rounding.
 _LOG_FLOAT_MAX = 700.0
@@ -39,38 +35,32 @@ _RATIO_POWERS: dict[int, np.ndarray] = {}
 class TruncatedSeries:
     """Coefficients a_1..a_N of a normalized series, a_1 = 1.
 
-    ``coeffs[i]`` stores a_{i+1}.  Instances are immutable: the backing
-    array is locked after construction and every operation returns a new
-    object, so values can be shared freely across threads.
+    ``coeffs`` is a nonempty 1-d sequence of finite reals, one that numpy
+    reads as an integer or float array (not bool, complex, text or
+    objects); ``coeffs[i]`` stores a_{i+1}.  Instances are immutable: the backing array is locked after
+    construction and every operation returns a new object, so values can be
+    shared freely across threads.
 
-    ``nonneg`` records whether a_n >= 0 for all n >= 2 (membership of the
-    positive-coefficient class the coefficient criteria apply to).  It is
-    computed from the data unless explicitly overridden; overriding to True
-    when a negative coefficient is present is an error, while overriding to
-    False merely withholds the claim.
+    ``nonneg`` records whether a_n >= 0 for all n >= 2, that is membership
+    of the positive-coefficient class the coefficient criteria apply to.  It
+    is read from the coefficients and cannot be set.
     """
 
     __slots__ = ("coeffs", "nonneg")
 
-    def __init__(self, coeffs, nonneg: bool | None = None):
-        arr = np.array(coeffs, dtype=float)  # a private copy, locked below
-        if arr.ndim != 1 or arr.size < 1:
-            raise ParameterError("coefficients must be a nonempty 1-d sequence a_1..a_N")
+    def __init__(self, coeffs):
+        arr = np.asarray(coeffs)
+        if arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size < 1:
+            raise ParameterError("coefficients must be a nonempty 1-d sequence of reals a_1..a_N")
+        arr = arr.astype(float)  # a private copy, locked below
         lo = np.minimum.reduce(arr)  # NaN if any coefficient is NaN
         if not (-math.inf < lo and np.maximum.reduce(arr) < math.inf):
             raise ParameterError("coefficients must be finite")
         if arr[0] != 1.0:
             raise ParameterError(f"normalization requires a_1 = 1, got a_1 = {arr[0]!r}")
-        actually_nonneg = bool(lo >= 0.0)  # a_1 = 1, so the minimum is over a_2..a_N
-        if nonneg is None:
-            nonneg = actually_nonneg
-        elif not isinstance(nonneg, bool):
-            raise ParameterError(f"nonneg must be True, False or None, got {nonneg!r}")
-        elif nonneg and not actually_nonneg:
-            raise ParameterError("nonneg flag set but a negative coefficient is present")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "nonneg", nonneg)
+        object.__setattr__(self, "nonneg", bool(lo >= 0.0))  # a_1 = 1: lo is min(a_2..a_N)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -104,13 +94,15 @@ def touchard_series(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trunc
     where 2.0**l itself overflows) raises NumericFailure instead of coming
     back as inf or NaN.
     """
-    return TruncatedSeries(_kernel(params, order), nonneg=True)
+    return TruncatedSeries(_kernel(params, order))
 
 
 def _kernel(params: TouchardParams, order) -> np.ndarray:
     """:func:`touchard_series`'s coefficients as a fresh unchecked array, to scale in place."""
     l, m = params.integer_order, params.m
     order = _integer(order, 2, "truncation order", InvalidOrder)
+    if order > SERIES_TERM_CAP:
+        raise InvalidOrder(f"truncation order must be at most {SERIES_TERM_CAP}, got {order}")
     u = np.empty(order)
     u[0] = 1.0
     terms = u[1:]
@@ -246,6 +238,10 @@ def evaluate_rings(f: TruncatedSeries, radii, angles: int, orders=(0,)) -> np.nd
     if r.ndim != 1:
         raise OutOfDisk("ring radii must be a 1-d sequence with |r| < 1")
     k = _integer(angles, 1, "angles per ring")
+    try:
+        orders = tuple(orders)
+    except TypeError:
+        raise ParameterError(f"derivative orders must be a sequence, got {orders!r}") from None
     width = -(-(f.order + 1) // k) * k  # powers 0..N padded to whole blocks of k
     c = np.zeros((len(orders), width))
     for row, d in zip(c, orders):
@@ -258,7 +254,6 @@ def evaluate_rings(f: TruncatedSeries, radii, angles: int, orders=(0,)) -> np.nd
 
 def series_to_csv(f: TruncatedSeries) -> str:
     """Render the series as CSV lines ``n,a_n`` with a header row."""
-    from .formats import rows_csv  # the CLI's renderer, loaded only when asked for
     return rows_csv(("n", "a_n"), ({"n": n, "a_n": c}
                                    for n, c in enumerate(f.coeffs.tolist(), start=1)))
 

@@ -171,7 +171,7 @@ class TestLemmaSums:
         with pytest.raises(NegativeCoefficient):
             lemma_sum_M(f, p)
         with pytest.raises(NegativeCoefficient):
-            lemma_sum_N(TruncatedSeries([1.0, 0.2], nonneg=False), p)
+            lemma_sum_N(TruncatedSeries([1.0, 0.2, -0.1]), p)
 
     def test_negative_weights_flagged_in_detail(self):
         p = ClassParams(0.75, 1.2)  # w(2) = -0.1

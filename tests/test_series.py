@@ -55,12 +55,6 @@ class TestTruncatedSeries:
         assert TruncatedSeries([1.0, 0.5]).nonneg
         assert not TruncatedSeries([1.0, -0.5]).nonneg
 
-    def test_nonneg_flag_override(self):
-        # withholding the claim is allowed, a false claim is not
-        assert not TruncatedSeries([1.0, 0.5], nonneg=False).nonneg
-        with pytest.raises(ParameterError):
-            TruncatedSeries([1.0, -0.5], nonneg=True)
-
     def test_immutability(self):
         f = TruncatedSeries([1.0, 0.25])
         with pytest.raises(AttributeError):

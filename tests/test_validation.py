@@ -25,6 +25,7 @@ from touchardstar import (
     RTauParams,
     TouchardParams,
     TruncatedSeries,
+    apply_operator_L,
     criterion_value,
     evaluate,
     evaluate_rings,
@@ -44,6 +45,7 @@ from touchardstar import (
 from touchardstar import disk, explore
 from touchardstar.cli import main
 from touchardstar.criteria import CRITERIA
+from touchardstar.moments import SERIES_TERM_CAP
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GRID = {"l": [2], "m": [0.5], "lambda": [0.25], "alpha": [1.2]}
@@ -149,7 +151,13 @@ def child(*argv):
     ["moment", "--l", "nan", "--m", "1", "--series"],
     ["moment", "--l", "inf", "--m", "1"],
     ["threshold", "--which", "M", "--l", "3.5", "--lambda", "0.75", "--alpha", "4/3"],
-], ids=["inf-series", "nan-series", "inf-closed", "threshold-non-integer"])
+    ["coeffs", "--l", "3", "--m", "1", "--order", "100000000000"],
+    ["check-class", "--class", "Mstar", "--lambda", "0", "--alpha", "1.2",
+     "--touchard", "3", "1", "--order", "100000000000"],
+    ["verify-disk", "--which", "M", "--lambda", "0", "--alpha", "1.2",
+     "--touchard", "3", "1", "--order", "100000000000"],
+], ids=["inf-series", "nan-series", "inf-closed", "threshold-non-integer", "coeffs-order",
+        "check-class-order", "verify-disk-order"])
 def test_cli_exits_two_without_traceback(argv):
     proc = child(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -206,6 +214,43 @@ def test_one_rule_for_every_numeric_argument(argument, value):
         NUMERIC_ARGUMENTS[argument](value)
 
 
+#: Arguments of the wrong shape or element kind, as calls.
+MALFORMED_ARGUMENTS = {
+    "TruncatedSeries-text": lambda: TruncatedSeries("abc"),
+    "TruncatedSeries-text-entry": lambda: TruncatedSeries([1, "x"]),
+    "TruncatedSeries-numeric-text-entry": lambda: TruncatedSeries([1, "0.5"]),
+    "TruncatedSeries-complex-entry": lambda: TruncatedSeries([1, 1j]),
+    "TruncatedSeries-int-past-float": lambda: TruncatedSeries([1, 10**400]),
+    "evaluate_rings-scalar-orders": lambda: evaluate_rings(F, (0.5,), 4, orders=1),
+    "DiskGrid-scalar-radii": lambda: DiskGrid(0.5, 4),
+}
+
+
+@pytest.mark.parametrize("call", list(MALFORMED_ARGUMENTS.values()), ids=list(MALFORMED_ARGUMENTS))
+def test_malformed_arguments(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+class TestTruncationOrderCap:
+    """A kernel series holds at most SERIES_TERM_CAP coefficients; a larger
+    order is refused before anything is allocated."""
+
+    TP = TouchardParams(3, 1.0)
+
+    def test_cap_is_accepted(self):
+        assert touchard_series(self.TP, SERIES_TERM_CAP).order == SERIES_TERM_CAP
+
+    @pytest.mark.parametrize("order", [SERIES_TERM_CAP + 1, 10**11])
+    def test_past_the_cap(self, order, capsys):
+        with pytest.raises(InvalidOrder, match=f"at most {SERIES_TERM_CAP}, got {order}$"):
+            touchard_series(self.TP, order)
+        with pytest.raises(InvalidOrder):
+            apply_operator_L(self.TP, order)
+        assert main(["coeffs", "--l", "3", "--m", "1", "--order", str(order)]) == 2
+        assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("value", [True, math.nan, complex(math.inf, 1), 10**400, 0, "0j", None,
                                    b"1", "bogus", "1 + 2"],
                          ids=["bool", "nan", "inf", "int-past-float", "zero", "zero-str", "none",
@@ -224,7 +269,7 @@ def test_numpy_radii_and_tolerances_accepted():
 
 
 class TestFlagsAndOrders:
-    """A bool or a float is not a derivative order, and nonneg takes a bool."""
+    """A bool or a float is not a derivative order, and keep_samples takes a bool."""
 
     @pytest.mark.parametrize("order", [1.0, np.float64(1.0), 3, -1])
     def test_evaluate(self, order):
@@ -235,11 +280,6 @@ class TestFlagsAndOrders:
 
     def test_numpy_integer_order(self):
         assert evaluate(F, 0.1, np.int64(1)) == evaluate(F, 0.1, 1)
-
-    @pytest.mark.parametrize("flag", ["no", 1, np.float64(0.0)])
-    def test_nonneg_flag(self, flag):
-        with pytest.raises(ParameterError):
-            TruncatedSeries([1.0, 0.5], nonneg=flag)
 
     @pytest.mark.parametrize("flag", ["no", 1, np.float64(0.0), None])
     @pytest.mark.parametrize("verify, params", [
