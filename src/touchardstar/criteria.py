@@ -189,10 +189,15 @@ class MembershipReport:
         return asdict(self)
 
 
-def _verdict(value: float, p: ClassParams, method: str, detail: str) -> MembershipReport:
+def _finite(value: float, detail: str) -> float:
+    """``value`` if it is finite, else NumericFailure naming the criterion's ``detail``."""
     if not math.isfinite(value):
         raise NumericFailure(f"criterion value {value!r} is not finite ({detail})")
-    value, bound = float(value), p.bound
+    return value
+
+
+def _verdict(value: float, p: ClassParams, method: str, detail: str) -> MembershipReport:
+    value, bound = float(_finite(value, detail)), p.bound
     report = object.__new__(MembershipReport)  # filled at once, not by a setattr per field
     object.__setattr__(report, "__dict__", {
         "criterion_value": value, "bound": bound, "member": value <= bound + TOL_EQ,
@@ -205,7 +210,7 @@ def _coefficient_sum(f: TruncatedSeries, p: ClassParams, convex: bool) -> Member
 
     if not f.nonneg:
         raise NegativeCoefficient(
-            "coefficient criteria apply to series flagged nonnegative from n = 2 on"
+            "coefficient criteria need nonnegative coefficients a_n for n >= 2"
         )
     n = np.arange(2, f.order + 1, dtype=float)
     w = p.weight(n)
@@ -255,17 +260,25 @@ def closed_form(which: str, l: int, m, lam, alpha, gain=1.0):
     return gain * ((1.0 - alpha * lam) * tail_kernel(l + 1, m) + (1.0 - alpha) * tail_kernel(l, m))
 
 
-def _closed(which: str, l, m, p: ClassParams, rtau: RTauParams | None = None) -> MembershipReport:
-    """Criterion ``which`` at one point; checks name, (tau, A, B), l, m, then l's cap."""
+def _check_criterion(which: str, l, rtau: RTauParams | None) -> tuple:
+    """(order, gain) for criterion ``which`` at order ``l``, the arguments
+    :func:`closed_form` takes besides m, lambda and alpha; checks the name,
+    (tau, A, B), l, then l's cap."""
     c = _criterion(which)
     if c.needs_rtau and rtau is None:
         raise ParameterError(f"criterion {which!r} needs (tau, A, B) parameters")
-    gain = rtau.gain if c.needs_rtau else 1.0
-    order, m = _as_integer_order(l), _check_m(m)
+    order = _as_integer_order(l)
     if order > c.max_l:
         raise OrderTooLarge(f"order l={order} exceeds {c.max_l}, the largest criterion {which!r} "
                             f"takes (it reads moments of order l+{L_MAX - c.max_l} <= {L_MAX})")
-    return _verdict(closed_form(which, order, m, p.lam, p.alpha, gain), p, METHOD_CLOSED, c.detail)
+    return order, rtau.gain if c.needs_rtau else 1.0
+
+
+def _closed(which: str, l, m, p: ClassParams, rtau: RTauParams | None = None) -> MembershipReport:
+    """Criterion ``which`` at one point; checks as :func:`_check_criterion`, then m."""
+    order, gain = _check_criterion(which, l, rtau)
+    value = closed_form(which, order, _check_m(m), p.lam, p.alpha, gain)
+    return _verdict(value, p, METHOD_CLOSED, CRITERIA[which].detail)
 
 
 def theorem_M_lhs(tp: TouchardParams, p: ClassParams) -> MembershipReport:

@@ -139,7 +139,9 @@ def _scan(points: np.ndarray, num: np.ndarray, den: np.ndarray, stat, bound: flo
 def _on_grid(f: TruncatedSeries, grid: DiskGrid | None, orders) -> tuple:
     """The points of ``grid`` (None: the default grid) and f's ``orders`` there, a row each."""
     grid = grid or DiskGrid.default()
-    rows = evaluate_rings(f, grid.radii, grid.angles_per_ring, orders).reshape(len(orders), -1)
+    # an ndarray of radii, which the grid has checked, so evaluate_rings does not look for bools
+    radii = np.asarray(grid.radii)
+    rows = evaluate_rings(f, radii, grid.angles_per_ring, orders).reshape(len(orders), -1)
     return grid.points(), rows
 
 

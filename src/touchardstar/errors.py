@@ -34,7 +34,7 @@ class OutOfDisk(ParameterError):
 
 
 class NegativeCoefficient(ParameterError):
-    """Coefficient-sum test requires a series flagged nonnegative."""
+    """Coefficient-sum test requires nonnegative coefficients a_n for n >= 2."""
 
 
 class NumericFailure(TouchardStarError, RuntimeError):

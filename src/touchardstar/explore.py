@@ -8,7 +8,10 @@ carries a negative term): the scan walks a geometric ladder, records every
 sign change, refines the first bracket by ITP (interpolate, truncate,
 project) and reports the rest alongside a warning.  A root the ladder misses
 (alpha -> 1+ puts it below the ladder, alpha*lambda -> 1- above) is found by
-walking on outward one power of 2 at a time.
+walking on outward one power of 2 at a time.  A solve checks its criterion,
+order and (tau, A, B) once, as :func:`criterion_value` would, and then
+evaluates :func:`criteria.closed_form` directly at every m it tries, with
+the same finiteness check.
 
 Sweeps evaluate one criterion over a cartesian parameter grid in array
 calls, one per moment order, never aborting on a bad point (errors become
@@ -31,10 +34,12 @@ from .criteria import (
     MembershipReport,
     RTauParams,
     _check_alpha,
+    _check_criterion,
     _check_lam,
     _closed,
     _complex,
     _criterion,
+    _finite,
     closed_form,
 )
 from .errors import NoThreshold, ParameterError
@@ -90,10 +95,10 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
                    tol_m: float = 1e-10) -> ThresholdResult:
     """Locate the m where the chosen criterion first crosses alpha - 1.
 
-    A bad criterion, order or (tau, A, B) raises ParameterError at the first
-    evaluation.  Then 1 - alpha*lambda > 0 is required; otherwise the
-    criterion value stays nonpositive for every m (each term is then
-    nonpositive) and no threshold exists (NoThreshold).  Scans m = 2**k over
+    A bad criterion, order or (tau, A, B) raises ParameterError, checked
+    once before anything is evaluated.  Then 1 - alpha*lambda > 0 is
+    required; otherwise the criterion value stays nonpositive for every m
+    (each term is then nonpositive) and no threshold exists (NoThreshold).  Scans m = 2**k over
     the ladder for sign changes of g(m) = criterion(m) - (alpha - 1).  With
     none there, it walks on one power of 2 at a time: down from the low end
     if g > 0 there, up from the high end if g <= 0 there, to the ends of the
@@ -103,24 +108,24 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
     ceil(log2(width0 / tol_m)) + 1 evaluations for a bracket of width
     width0.  The sign of an exact zero counts as negative, matching the
     bracket invariant value(m_lo) <= bound < value(m_hi).  Every evaluation
-    goes through :func:`criterion_value`.
+    is one call to :func:`criteria.closed_form`, whose value is what
+    :func:`criterion_value` reports at that m, bit for bit; one that is not
+    finite raises the NumericFailure :func:`criterion_value` would.
     """
     tol_m = _check_tol(tol_m)
-    bound = p.bound
-
-    def g(m: float) -> float:
-        return criterion_value(which, l, m, p, rtau).criterion_value - bound
-
-    k_lo, k_hi = LADDER_EXPONENTS
-    # rungs are (m, g(m)) pairs; the first checks the parameters before the
-    # existence test below
-    rungs = [(2.0 ** k_lo, g(2.0 ** k_lo))]
+    order, gain = _check_criterion(which, l, rtau)
     if 1.0 - p.alpha * p.lam <= 0:
         raise NoThreshold(
             f"1 - alpha*lambda = {1.0 - p.alpha * p.lam!r} <= 0: criterion stays below the "
             "bound for every m, no threshold exists"
         )
-    rungs += [(m, g(m)) for m in (2.0 ** k for k in range(k_lo + 1, k_hi + 1))]
+    lam, alpha, bound, detail = p.lam, p.alpha, p.bound, CRITERIA[which].detail
+
+    def g(m: float) -> float:
+        return _finite(closed_form(which, order, m, lam, alpha, gain), detail) - bound
+
+    k_lo, k_hi = LADDER_EXPONENTS
+    rungs = [(m, g(m)) for m in (2.0 ** k for k in range(k_lo, k_hi + 1))]  # (m, g(m)) pairs
     brackets = [(a, b) for a, b in zip(rungs, rungs[1:]) if (a[1] > 0.0) != (b[1] > 0.0)]
     if not brackets:
         # g keeps one sign on the whole ladder: the root lies below it if

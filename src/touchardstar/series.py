@@ -32,14 +32,25 @@ _LOG_FLOAT_MAX = 700.0
 _RATIO_POWERS: dict[int, np.ndarray] = {}
 
 
+def _holds_bool(x, arr: np.ndarray) -> bool:
+    """Whether ``x``, which numpy reads as ``arr``, is a sequence holding a
+    bool at some depth, which numpy reads as a number ([1.0, True] as
+    [1., 1.]).  An ndarray or a scalar says bool in its dtype, so it is not
+    looked into (callers skip the call when ``x`` is ``arr``)."""
+    if isinstance(x, np.ndarray) or arr.ndim == 0:
+        return False
+    return any(isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)
+
+
 class TruncatedSeries:
     """Coefficients a_1..a_N of a normalized series, a_1 = 1.
 
     ``coeffs`` is a nonempty 1-d sequence of finite reals, one that numpy
     reads as an integer or float array (not bool, complex, text or
-    objects); ``coeffs[i]`` stores a_{i+1}.  Instances are immutable: the backing array is locked after
-    construction and every operation returns a new object, so values can be
-    shared freely across threads.
+    objects) and, unless it is an ndarray, holding no bool element;
+    ``coeffs[i]`` stores a_{i+1}.  Instances are immutable: the backing
+    array is locked after construction and every operation returns a new
+    object, so values can be shared freely across threads.
 
     ``nonneg`` records whether a_n >= 0 for all n >= 2, that is membership
     of the positive-coefficient class the coefficient criteria apply to.  It
@@ -50,7 +61,8 @@ class TruncatedSeries:
 
     def __init__(self, coeffs):
         arr = np.asarray(coeffs)
-        if arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size < 1:
+        if (arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size < 1
+                or (coeffs is not arr and _holds_bool(coeffs, arr))):
             raise ParameterError("coefficients must be a nonempty 1-d sequence of reals a_1..a_N")
         arr = arr.astype(float)  # a private copy, locked below
         lo = np.minimum.reduce(arr)  # NaN if any coefficient is NaN
@@ -191,10 +203,10 @@ def _power_coeffs(f: TruncatedSeries, order) -> np.ndarray:
 
 def _in_disk(x, what: str, kinds: str = "iufc") -> np.ndarray:
     """``x`` as an ndarray of modulus < 1 whose dtype kind is in ``kinds``
-    (integer, float, complex: never bool, text or object); NaN fails the
-    modulus test too."""
+    (integer, float, complex: never bool, text or object, nor a sequence
+    holding a bool); NaN fails the modulus test too."""
     arr = np.asarray(x)
-    if arr.dtype.kind not in kinds:
+    if arr.dtype.kind not in kinds or (x is not arr and _holds_bool(x, arr)):
         raise ParameterError(f"{what} must be {'numbers' if 'c' in kinds else 'reals'}, "
                              f"got {x!r}")
     if not np.all(np.abs(arr) < 1.0):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import mpmath
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 import touchardstar.explore as explore
 from touchardstar import (
     ClassParams,
-    MembershipReport,
     NoThreshold,
     NumericFailure,
+    OrderTooLarge,
     ParameterError,
     RTauParams,
     TouchardParams,
@@ -25,6 +26,7 @@ from touchardstar import (
     sweep,
     theorem_M_lhs,
 )
+from touchardstar.criteria import _check_criterion, closed_form
 from touchardstar.moments import stirling2
 
 ACCEPT_COMBOS = [
@@ -107,11 +109,10 @@ class TestFindThreshold:
 
     def test_non_monotone_criterion_reports_all_brackets(self, monkeypatch):
         # synthetic criterion with three ladder crossings at 0.3, 3 and 30
-        def fake(which, l, m, p, rtau=None):
-            value = p.bound + (m - 0.3) * (m - 3.0) * (m - 30.0) / 1000.0
-            return MembershipReport(value, p.bound, value <= p.bound, "closed_form", "")
+        def fake(which, l, m, lam, alpha, gain):
+            return alpha - 1.0 + (m - 0.3) * (m - 3.0) * (m - 30.0) / 1000.0
 
-        monkeypatch.setattr(explore, "criterion_value", fake)
+        monkeypatch.setattr(explore, "closed_form", fake)
         result = explore.find_threshold("M", 0, ClassParams(0.0, 1.2))
         assert len(result.all_brackets) == 3
         assert result.warnings and "non-monotone" in result.warnings[0]
@@ -136,17 +137,17 @@ class TestFindThreshold:
 
 
 def counting(monkeypatch, cap=None):
-    """Route explore.criterion_value through a wrapper that counts its calls
+    """Route explore.closed_form through a wrapper that counts its calls
     and raises once there are more than ``cap``."""
     calls = []
 
-    def wrapper(*args, **kwargs):
+    def wrapper(*args):
         calls.append(args)
         if cap is not None and len(calls) > cap:
             raise RuntimeError(f"more than {cap} criterion evaluations")
-        return criterion_value(*args, **kwargs)
+        return closed_form(*args)
 
-    monkeypatch.setattr(explore, "criterion_value", wrapper)
+    monkeypatch.setattr(explore, "closed_form", wrapper)
     return calls
 
 
@@ -256,12 +257,55 @@ class TestThresholdRefinement:
 
     def test_walk_stops_at_the_end_of_the_float_range(self, monkeypatch):
         # above the bound for every m: the walk goes down to 2^-1074 and stops
-        def above(which, l, m, p, rtau=None):
-            return MembershipReport(1.0, p.bound, False, "closed_form", "")
+        def above(which, l, m, lam, alpha, gain):
+            return 1.0
 
-        monkeypatch.setattr(explore, "criterion_value", above)
+        monkeypatch.setattr(explore, "closed_form", above)
         with pytest.raises(NoThreshold, match=r"no sign change .* \[2\^-1074, 2\^10\]"):
             explore.find_threshold("M", 0, ClassParams(0.0, 1.2))
+
+
+class TestThresholdValidatesOnce:
+    """A solve checks its parameters once, then evaluates the closed form
+    directly; errors are the ones criterion_value raises."""
+
+    def test_one_check_per_solve(self, monkeypatch):
+        checks = []
+
+        def wrapper(*args):
+            checks.append(args)
+            return _check_criterion(*args)
+
+        monkeypatch.setattr(explore, "_check_criterion", wrapper)
+        explore.find_threshold("rtau", 3, ClassParams(0.25, 1.2), RTauParams(1.0, 0.5, -0.5))
+        assert len(checks) == 1
+
+    def test_overflow_on_the_outward_walk(self):
+        # 1 - alpha*lambda is about 1.3e-9: the walk goes up past 2^10 until
+        # the order-64 moment overflows
+        with pytest.raises(NumericFailure) as info:
+            find_threshold("M", 63, ClassParams(0.749999999, 4.0 / 3.0))
+        assert type(info.value) is NumericFailure
+        assert str(info.value) == \
+            "criterion value inf is not finite (closed form via shifted moment tails)"
+
+    @pytest.mark.parametrize("which, l, error, message", [
+        ("M", 3.5, ParameterError, "closed-form path takes integer moment orders only, "
+                                   "got l=3.5 (use the series path for real orders)"),
+        ("bogus", 0, ParameterError, "unknown criterion 'bogus'; expected one of M, N, rtau, "
+                                     "integral"),
+        ("rtau", 0, ParameterError, "criterion 'rtau' needs (tau, A, B) parameters"),
+        ("N", -1, ParameterError, "moment order l must be a nonnegative finite real, got -1"),
+        ("N", 63, OrderTooLarge, "order l=63 exceeds 62, the largest criterion 'N' takes "
+                                 "(it reads moments of order l+2 <= 64)"),
+    ])
+    def test_parameter_errors_before_no_threshold(self, which, l, error, message):
+        # 1 - alpha*lambda = 0: no threshold exists, but the parameters are checked first
+        with pytest.raises(ParameterError) as info:
+            find_threshold(which, l, ClassParams(0.75, 4.0 / 3.0))
+        assert (type(info.value), str(info.value)) == (error, message)
+        with pytest.raises(error, match=re.escape(message)):
+            criterion_value(which, l, 1.0, ClassParams(0.75, 4.0 / 3.0))
 
 
 class TestSweep:

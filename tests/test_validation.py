@@ -19,7 +19,6 @@ from touchardstar import (
     ClassParams,
     DiskGrid,
     InvalidOrder,
-    MembershipReport,
     NoThreshold,
     ParameterError,
     RTauParams,
@@ -221,6 +220,8 @@ MALFORMED_ARGUMENTS = {
     "TruncatedSeries-numeric-text-entry": lambda: TruncatedSeries([1, "0.5"]),
     "TruncatedSeries-complex-entry": lambda: TruncatedSeries([1, 1j]),
     "TruncatedSeries-int-past-float": lambda: TruncatedSeries([1, 10**400]),
+    "TruncatedSeries-bool-entry": lambda: TruncatedSeries([1.0, True]),
+    "evaluate-bool-point": lambda: evaluate(F, [0.1, False]),
     "evaluate_rings-scalar-orders": lambda: evaluate_rings(F, (0.5,), 4, orders=1),
     "DiskGrid-scalar-radii": lambda: DiskGrid(0.5, 4),
 }
@@ -299,7 +300,7 @@ class TestPointsAndRadii:
             evaluate(F, points)
 
     @pytest.mark.parametrize("radii", [(0.5, math.nan), ("0.5",), (0.5, "0.5"), (0.5j,),
-                                       (None,)])
+                                       (None,), (0.5, True)])
     def test_evaluate_rings_rejects(self, radii):
         with pytest.raises(ParameterError):
             evaluate_rings(F, radii, 4)
@@ -358,10 +359,10 @@ class TestUnreachedBranches:
         assert capsys.readouterr().out.splitlines()[1] == ",,,0,1,1"
 
     def test_threshold_without_sign_change(self, monkeypatch):
-        def below(which, l, m, p, rtau=None):
-            return MembershipReport(0.0, p.bound, True, "closed_form", "")
+        def below(which, l, m, lam, alpha, gain):
+            return 0.0
 
-        monkeypatch.setattr(explore, "criterion_value", below)
+        monkeypatch.setattr(explore, "closed_form", below)
         with pytest.raises(NoThreshold, match="no sign change"):
             explore.find_threshold("M", 0, ClassParams(0.0, 1.2))
 
