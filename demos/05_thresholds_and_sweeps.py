@@ -2,9 +2,10 @@
 
 For fixed (l, lambda, alpha) the criteria vanish as m -> 0 and eventually
 blow past alpha - 1, so a threshold m* separates members from non-members.
-The finder scans a geometric ladder (walking on past its ends when the
-threshold lies outside it), refines the first bracket by ITP and certifies
-the result by plugging m* back in.
+Each criterion reduces to rho(m) <= c with c = (alpha - 1)/(1 - alpha*lambda),
+and rho crosses c exactly once, inside an interval known in closed form.  The
+finder starts from that interval, refines it by ITP and certifies the result
+by plugging m* back in.
 """
 
 from touchardstar import ClassParams, find_threshold, sweep

@@ -46,4 +46,4 @@ class NoConvergence(NumericFailure):
 
 
 class NoThreshold(NumericFailure):
-    """No membership threshold exists or none was bracketed on the scan ladder."""
+    """No membership threshold exists, or none within the float range."""

@@ -1,17 +1,15 @@
 """Parameter-space exploration: membership thresholds in m, and sweep tables.
 
-For fixed (l, lambda, alpha) the closed-form criteria are continuous in the
-Poisson parameter m, vanish as m -> 0 and, whenever 1 - alpha*lambda > 0,
-grow without bound as m -> infinity, so a finite threshold m* separates
-members from non-members.  Monotonicity in m is NOT assumed (the criterion
-carries a negative term): the scan walks a geometric ladder, records every
-sign change, refines the first bracket by ITP (interpolate, truncate,
-project) and reports the rest alongside a warning.  A root the ladder misses
-(alpha -> 1+ puts it below the ladder, alpha*lambda -> 1- above) is found by
-walking on outward one power of 2 at a time.  A solve checks its criterion,
-order and (tau, A, B) once, as :func:`criterion_value` would, and then
-evaluates :func:`criteria.closed_form` directly at every m it tries, with
-the same finiteness check.
+Every closed-form criterion reduces to rho(m) = P(m)/Q(m) <= c, with
+c = (alpha - 1)/(1 - alpha*lambda) and P, Q free of (lambda, alpha): for the
+moment tails A, B, C of orders l+1, l, l+2, P/Q is A/(B+1) for M and
+integral, (C+A)/(A+B+1) for N and gain*A/(gain*B+1) for rtau.  The threshold
+m*, where rho(m*) = c, is unique.  For l >= 1, P - cQ is a polynomial whose
+constant term -c is negative, whose leading term is positive and whose middle
+coefficients a_k - c b_k change sign at most once, since a_k/b_k rises
+strictly in k (checked for every l the criteria take), so by Descartes' rule
+it has one positive root; for l = 0, rho is strictly increasing.  A solve
+refines the bracket of :func:`_bracket` by ITP and plugs m* back in.
 
 Sweeps evaluate one criterion over a cartesian parameter grid in array
 calls, one per moment order, never aborting on a bad point (errors become
@@ -42,21 +40,9 @@ from .criteria import (
     _finite,
     closed_form,
 )
-from .errors import NoThreshold, ParameterError
+from .errors import NoThreshold, NumericFailure, ParameterError
 from .formats import rows_csv
-from .moments import _as_integer_order, _check_m, _check_tol
-
-#: Geometric scan ladder: m = 2**k for k in this inclusive range.  It holds
-#: the threshold for most parameters, but not all: as alpha -> 1+ the
-#: threshold falls below 2^-10 (5e-4 at l = 1, lambda = 0, alpha = 1.0005),
-#: and as alpha*lambda -> 1- it rises past 2^10 (5000 at l = 0,
-#: lambda = 0.7499, alpha = 4/3).  When the ladder shows no sign change,
-#: :func:`find_threshold` walks on outward, up to the powers of 2 in
-#: :data:`_FLOAT_EXPONENTS`.
-LADDER_EXPONENTS = (-10, 10)
-
-#: The smallest and the largest power of 2 a float holds.
-_FLOAT_EXPONENTS = (-1074, 1023)
+from .moments import _as_integer_order, _check_m, _check_tol, tail_kernel
 
 
 def criterion_value(which: str, l: int, m: float, p: ClassParams,
@@ -73,9 +59,8 @@ class ThresholdResult:
     and is no wider than ``tol_m``, or two adjacent floats; ``iterations``
     counts the criterion evaluations that refined it; ``residual`` is the
     criterion value at m_star minus the bound (self-certification: plug the
-    root back in).  ``all_brackets`` lists every sign change seen on the
-    scan ladder (or the one the outward walk found); more than one triggers
-    a non-monotonicity warning.
+    root back in).  ``all_brackets`` holds the one starting bracket from
+    :func:`_bracket`, and ``warnings`` is always empty: the root is unique.
     """
 
     m_star: float
@@ -96,77 +81,66 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
     """Locate the m where the chosen criterion first crosses alpha - 1.
 
     A bad criterion, order or (tau, A, B) raises ParameterError, checked
-    once before anything is evaluated.  Then 1 - alpha*lambda > 0 is
-    required; otherwise the criterion value stays nonpositive for every m
-    (each term is then nonpositive) and no threshold exists (NoThreshold).  Scans m = 2**k over
-    the ladder for sign changes of g(m) = criterion(m) - (alpha - 1).  With
-    none there, it walks on one power of 2 at a time: down from the low end
-    if g > 0 there, up from the high end if g <= 0 there, to the ends of the
-    float range (NoThreshold if g never changes sign).  It then refines the
-    first bracket by ITP (see :func:`_itp`) until it is no wider than
-    ``tol_m`` or is two adjacent floats, in at most
-    ceil(log2(width0 / tol_m)) + 1 evaluations for a bracket of width
-    width0.  The sign of an exact zero counts as negative, matching the
-    bracket invariant value(m_lo) <= bound < value(m_hi).  Every evaluation
-    is one call to :func:`criteria.closed_form`, whose value is what
-    :func:`criterion_value` reports at that m, bit for bit; one that is not
-    finite raises the NumericFailure :func:`criterion_value` would.
+    once before anything is evaluated.  With 1 - alpha*lambda <= 0 every
+    term of the criterion is nonpositive, and so is its value: no threshold
+    exists (NoThreshold), as when the upper end of :func:`_bracket`
+    overflows.  Bracket ends that fail g(lo) <= 0 < g(hi), for
+    g(m) = criterion(m) - (alpha - 1), raise NumericFailure.  ITP
+    (:func:`_itp`) then refines the bracket until it is no wider than
+    ``tol_m`` or is two adjacent floats.  Every evaluation is one call to
+    :func:`criteria.closed_form`, whose value is what :func:`criterion_value`
+    reports at that m, bit for bit; one that is not finite raises the
+    NumericFailure :func:`criterion_value` would.
     """
     tol_m = _check_tol(tol_m)
     order, gain = _check_criterion(which, l, rtau)
     if 1.0 - p.alpha * p.lam <= 0:
-        raise NoThreshold(
-            f"1 - alpha*lambda = {1.0 - p.alpha * p.lam!r} <= 0: criterion stays below the "
-            "bound for every m, no threshold exists"
-        )
+        raise NoThreshold(f"1 - alpha*lambda = {1.0 - p.alpha * p.lam!r} <= 0: criterion stays "
+                          "below the bound for every m, no threshold exists")
     lam, alpha, bound, detail = p.lam, p.alpha, p.bound, CRITERIA[which].detail
+    start = lo, hi = _bracket(which, order, bound / (1.0 - alpha * lam), gain)
+    if hi == math.inf:
+        raise NoThreshold(f"the bracket of criterion {which!r} at l={l}, lambda={lam}, "
+                          f"alpha={alpha} ends past the largest float")
 
     def g(m: float) -> float:
         return _finite(closed_form(which, order, m, lam, alpha, gain), detail) - bound
 
-    k_lo, k_hi = LADDER_EXPONENTS
-    rungs = [(m, g(m)) for m in (2.0 ** k for k in range(k_lo, k_hi + 1))]  # (m, g(m)) pairs
-    brackets = [(a, b) for a, b in zip(rungs, rungs[1:]) if (a[1] > 0.0) != (b[1] > 0.0)]
-    if not brackets:
-        # g keeps one sign on the whole ladder: the root lies below it if
-        # g > 0 there, above it if g <= 0 there
-        down = rungs[0][1] > 0.0
-        crossing = _walk(g, k_lo, rungs[0][1], -1) if down else _walk(g, k_hi, rungs[-1][1], 1)
-        if crossing is None:
-            low, high = (_FLOAT_EXPONENTS[0], k_hi) if down else (k_lo, _FLOAT_EXPONENTS[1])
-            raise NoThreshold(
-                f"no sign change of criterion {which!r} on "
-                f"[2^{low}, 2^{high}] for l={l}, lambda={p.lam}, alpha={p.alpha}"
-            )
-        brackets = [crossing]
-    warnings = ()
-    if len(brackets) > 1:
-        warnings = (f"non-monotone: {len(brackets)} sign changes on the scan ladder",)
-
-    lo, hi, iterations = _itp(g, *brackets[0], tol_m)
+    g_lo, g_hi = g(lo), g(hi)
+    if not g_lo <= 0.0 < g_hi:
+        raise NumericFailure(f"no sign change on the bracket of criterion {which!r} at l={l}, "
+                             f"lambda={lam}, alpha={alpha}: the criterion minus the bound is "
+                             f"{g_lo!r} at {lo!r} and {g_hi!r} at {hi!r}")
+    lo, hi, iterations = _itp(g, (lo, g_lo), (hi, g_hi), tol_m)
     m_star = lo + 0.5 * (hi - lo)
-    return ThresholdResult(
-        m_star=m_star,
-        bracket=(lo, hi),
-        residual=g(m_star),
-        iterations=iterations,
-        criterion=CRITERIA[which].label,
-        warnings=warnings,
-        all_brackets=tuple((a[0], b[0]) for a, b in brackets),
-    )
+    return ThresholdResult(m_star=m_star, bracket=(lo, hi), residual=g(m_star),
+                           iterations=iterations, criterion=CRITERIA[which].label,
+                           all_brackets=(start,))
 
 
-def _walk(g, k: int, g_k: float, step: int):
-    """From m = 2**k, where g is ``g_k``, evaluate g at 2**(k + step),
-    2**(k + 2 step), ... until its sign changes; return that crossing as a
-    pair of (m, g(m)) in increasing m, or None at the end of the float range."""
-    while k != _FLOAT_EXPONENTS[step > 0]:
-        k += step
-        g_next = g(2.0 ** k)
-        if (g_next > 0.0) != (g_k > 0.0):
-            return ((2.0 ** (k - step), g_k), (2.0 ** k, g_next))[::step]
-        g_k = g_next
-    return None
+def _bracket(which: str, l: int, c: float, gain: float) -> tuple:
+    """(lo, hi) holding the root of rho(m) = c (module docstring) for
+    criterion ``which`` of validated order ``l``, each end widened by a
+    relative 2**-20 so that rounding cannot hide the sign change.  For the
+    Touchard polynomials T_j (:func:`moments.tail_kernel`):
+
+    * T_{l+1} = m (T_l + T_l') and 1 <= T_l' <= l T_l / m (l >= 1) give
+      m <= rho <= m + l for M, m <= rho <= m + l + 1 for N, m/2 <= rho <= m
+      for M at l = 0 and m min(1, gain)/2 <= rho <= m + max(l, 1) for rtau,
+      whose rho >= min(gain m^(l+1), m)/2 is tighter for a small gain.
+    * Q >= 1 and T_j(m) <= m T_j(1) for m <= 1 give rho <= k m there, so
+      m* >= min(1, c/k) > 0.  A gain of 0 (an underflow) leaves hi inf.
+    """
+    t = tail_kernel(l + 1, 1.0)
+    if which == "N":
+        span, k, hi = l + 1, tail_kernel(l + 2, 1.0) + t, c
+    elif which == "rtau":
+        x = 2.0 * c / min(gain, 1.0) if gain else math.inf
+        span, k, hi = max(l, 1), gain * t, min(x, max(2.0 * c, x ** (1.0 / (l + 1))))
+    else:
+        span, k, hi = l, t, c if l else 2.0 * c
+    lo = max(c - span, c / max(k, c))  # min(1, c/k), with no division by k = 0
+    return lo * (1.0 - 2.0 ** -20), hi * (1.0 + 2.0 ** -20)
 
 
 def _itp(g, a: tuple, b: tuple, tol_m: float) -> tuple:

@@ -70,11 +70,17 @@ class TestFindThreshold:
         above = brute_force_M(TouchardParams(0, result.m_star + 1e-6), p)
         assert below.criterion_value <= p.bound < above.criterion_value
 
+    @pytest.mark.parametrize("which", ["M", "N", "rtau", "integral"])
     @pytest.mark.parametrize("l,lam,alpha", ACCEPT_COMBOS)
-    def test_ladder_start_below_bound(self, l, lam, alpha):
+    def test_bracket_ends_straddle_bound(self, which, l, lam, alpha):
         p = ClassParams(lam, alpha)
-        report = criterion_value("M", l, 2.0**-10, p)
-        assert report.criterion_value < p.bound
+        rtau = RTauParams(1.0, 0.5, -0.5) if which == "rtau" else None
+        lo, hi = explore._bracket(which, l, p.bound / (1.0 - alpha * lam),
+                                  rtau.gain if rtau else 1.0)
+        assert 0 < lo < hi
+        assert criterion_value(which, l, lo, p, rtau).criterion_value <= p.bound
+        assert criterion_value(which, l, hi, p, rtau).criterion_value > p.bound
+        assert find_threshold(which, l, p, rtau).all_brackets == ((lo, hi),)
 
     def test_bracket_invariant_and_iteration_bound(self):
         p = ClassParams(0.5, 1.2)
@@ -84,7 +90,8 @@ class TestFindThreshold:
         g_lo = criterion_value("N", 1, lo, p).criterion_value - p.bound
         g_hi = criterion_value("N", 1, hi, p).criterion_value - p.bound
         assert g_lo <= 0.0 < g_hi
-        width0 = 2.0 * lo - lo  # ladder brackets are (2^k, 2^(k+1))
+        (start, end), = result.all_brackets
+        width0 = end - start
         assert result.iterations <= math.ceil(math.log2(width0 / 1e-10)) + 2
 
     def test_no_threshold_when_leading_term_vanishes(self):
@@ -106,17 +113,6 @@ class TestFindThreshold:
         a = find_threshold("M", 1, p)
         b = find_threshold("integral", 1, p)
         assert a.m_star == b.m_star
-
-    def test_non_monotone_criterion_reports_all_brackets(self, monkeypatch):
-        # synthetic criterion with three ladder crossings at 0.3, 3 and 30
-        def fake(which, l, m, lam, alpha, gain):
-            return alpha - 1.0 + (m - 0.3) * (m - 3.0) * (m - 30.0) / 1000.0
-
-        monkeypatch.setattr(explore, "closed_form", fake)
-        result = explore.find_threshold("M", 0, ClassParams(0.0, 1.2))
-        assert len(result.all_brackets) == 3
-        assert result.warnings and "non-monotone" in result.warnings[0]
-        assert result.m_star == pytest.approx(0.3, abs=1e-9)
 
     def test_tolerance_validation(self):
         with pytest.raises(ParameterError):
@@ -174,11 +170,12 @@ def exact_g(which, l, p, gain):
 #: The fixed grid of the refinement count test: 4 criteria x 5 orders x 4 lambdas x 3 alphas.
 SOLVE_GRID = list(itertools.product(("M", "N", "rtau", "integral"), (0, 3, 6, 9, 12),
                                     (0.0, 0.25, 0.5, 0.7), (1.05, 1.2, 4.0 / 3.0)))
-LADDER_RUNGS = explore.LADDER_EXPONENTS[1] - explore.LADDER_EXPONENTS[0] + 1
+#: Evaluations a solve makes before refining: g at the two bracket ends.
+BRACKET_ENDS = 2
 
 
 class TestThresholdRefinement:
-    """ITP refinement of the first ladder bracket, and roots off the ladder."""
+    """ITP refinement of the certified bracket, and roots far from m = 1."""
 
     @given(
         which=st.sampled_from(["M", "N", "rtau", "integral"]),
@@ -211,21 +208,21 @@ class TestThresholdRefinement:
                                    solver="anderson")
             assert abs(result.m_star - root) <= max(tol_m, hi - lo) + 1e-12 * result.m_star
 
-    def test_mean_refinement_steps_on_fixed_grid(self, monkeypatch):
+    def test_mean_evaluations_on_fixed_grid(self, monkeypatch):
         calls = counting(monkeypatch)
         rtau = RTauParams(1.0, 0.5, -0.5)
-        steps = []
+        evaluations = []
         for which, l, lam, alpha in SOLVE_GRID:
             before = len(calls)
             result = explore.find_threshold(which, l, ClassParams(lam, alpha),
                                             rtau if which == "rtau" else None)
-            # the ladder, the refinement and the residual, and nothing else:
-            # the two ladder values at the bracket are not evaluated again
-            assert len(calls) - before == LADDER_RUNGS + result.iterations + 1
+            # the bracket ends, the refinement and the residual, and nothing
+            # else: the values at the bracket ends are not evaluated again
+            assert len(calls) - before == BRACKET_ENDS + result.iterations + 1
             start, end = result.all_brackets[0]
             assert result.iterations <= math.ceil(math.log2((end - start) / 1e-10)) + 2
-            steps.append(result.iterations)
-        assert len(steps) == 240 and sum(steps) / len(steps) <= 10
+            evaluations.append(len(calls) - before)
+        assert len(evaluations) == 240 and sum(evaluations) / len(evaluations) <= 17
 
     @pytest.mark.parametrize("tol_m", [1e-17, 5e-324])
     def test_tolerance_below_float_spacing_ends_at_adjacent_floats(self, monkeypatch, tol_m):
@@ -236,33 +233,90 @@ class TestThresholdRefinement:
         assert math.nextafter(lo, hi) == hi and result.m_star in (lo, hi)
         assert criterion_value("M", 1, lo, p).criterion_value <= p.bound
         assert criterion_value("M", 1, hi, p).criterion_value > p.bound
-        assert len(calls) == LADDER_RUNGS + result.iterations + 1
+        assert len(calls) == BRACKET_ENDS + result.iterations + 1
 
-    @pytest.mark.parametrize("lam, alpha, l, root, allowance", [
-        (0.0, 1.0005, 1, 5e-4, 0.0),
+    @pytest.mark.parametrize("lam, alpha, l, root, allowance, ends", [
+        # M at l = 1 is rho = T_2 / (T_1 + 1) = m, so m* = c in [c/2, c]
+        (0.0, 1.0005, 1, 5e-4, 0.0, (0.5, 1.0)),
         # 1 - alpha*lambda = 1/7500 carries a rounding of relative 4e-13,
-        # which moves the root of the float criterion by about 2e-9
-        (0.7499, 4.0 / 3.0, 0, 5000.0, 1e-12 * 5000.0),
+        # which moves the root of the float criterion by about 2e-9; at
+        # l = 0, rho is about m/2 here, so m* is just below 2c
+        (0.7499, 4.0 / 3.0, 0, 5000.0, 1e-12 * 5000.0, (1.0, 2.0)),
     ], ids=["below-ladder", "above-ladder"])
-    def test_root_off_the_ladder(self, lam, alpha, l, root, allowance):
+    def test_root_off_the_ladder(self, lam, alpha, l, root, allowance, ends):
         p = ClassParams(lam, alpha)
         result = find_threshold("M", l, p)
         lo, hi = result.bracket
         assert abs(result.m_star - root) <= 1e-10 + allowance
         assert criterion_value("M", l, lo, p).criterion_value <= p.bound
         assert criterion_value("M", l, hi, p).criterion_value > p.bound
-        assert result.all_brackets == ((2.0 ** math.floor(math.log2(root)),
-                                        2.0 ** math.ceil(math.log2(root))),)
-        assert not result.warnings
+        c = p.bound / (1.0 - alpha * lam)
+        assert result.all_brackets == ((ends[0] * c * (1.0 - 2.0 ** -20),
+                                        ends[1] * c * (1.0 + 2.0 ** -20)),)
+        assert result.warnings == ()
 
-    def test_walk_stops_at_the_end_of_the_float_range(self, monkeypatch):
-        # above the bound for every m: the walk goes down to 2^-1074 and stops
-        def above(which, l, m, lam, alpha, gain):
-            return 1.0
+    @pytest.mark.parametrize("which, l", [("M", 0), ("M", 63), ("N", 62), ("rtau", 63),
+                                          ("integral", 1)])
+    def test_alpha_next_to_one_gives_a_positive_bracket(self, which, l):
+        p = ClassParams(0.5, math.nextafter(1.0, 2.0))
+        rtau = RTauParams(1.0, 0.5, -0.5) if which == "rtau" else None
+        result = find_threshold(which, l, p, rtau)
+        (lo, hi), = result.all_brackets
+        assert 0 < lo <= result.m_star <= hi
+        assert criterion_value(which, l, lo, p, rtau).criterion_value <= p.bound
+        assert criterion_value(which, l, hi, p, rtau).criterion_value > p.bound
 
-        monkeypatch.setattr(explore, "closed_form", above)
-        with pytest.raises(NoThreshold, match=r"no sign change .* \[2\^-1074, 2\^10\]"):
-            explore.find_threshold("M", 0, ClassParams(0.0, 1.2))
+    @pytest.mark.parametrize("A, B, gain", [(0.5, -0.5, 5e-324), (0.25, 0.0, 0.0)],
+                             ids=["gain-5e-324", "gain-0"])
+    def test_bracket_past_the_float_range_is_no_threshold(self, A, B, gain):
+        # rho >= m gain / 2 gives hi = 2c / gain, which overflows; (A-B)|tau|
+        # = 0.25 * 5e-324 rounds to 0 in the second case
+        rtau = RTauParams(5e-324, A, B)
+        assert rtau.gain == gain
+        with pytest.raises(NoThreshold, match="ends past the largest float"):
+            find_threshold("rtau", 0, ClassParams(0.0, 1.2), rtau)
+
+    @pytest.mark.parametrize("l", [1, 30, 63])
+    def test_small_gain_bracket_stays_evaluable(self, l):
+        # 2c / gain = 4e19 overflows T_31 and T_64; rho >= gain m^(l+1) / 2
+        # gives an upper end where the closed form is finite
+        p, rtau = ClassParams(0.0, 1.2), RTauParams(1e-20, 0.5, -0.5)
+        result = find_threshold("rtau", l, p, rtau)
+        (start, end), = result.all_brackets
+        assert start <= result.m_star <= end < 2.0 * 0.2 / rtau.gain
+        lo, hi = result.bracket
+        assert criterion_value("rtau", l, lo, p, rtau).criterion_value <= p.bound
+        assert criterion_value("rtau", l, hi, p, rtau).criterion_value > p.bound
+
+
+class TestBracketUniqueness:
+    """For l >= 1, rho(m) = c has one positive root because P - cQ has one
+    sign change in its coefficients: its constant term is -c, its leading
+    term positive, and the ratios a_k/b_k of its middle coefficients
+    a_k - c b_k rise strictly with k.  The order caps make the domain
+    finite, so checking every l in exact integers is the proof."""
+
+    @staticmethod
+    def rising(a, b):
+        return all(a[k] * b[k + 1] < a[k + 1] * b[k] for k in range(len(a) - 1))
+
+    @staticmethod
+    def S(n, k):
+        return stirling2(n, k) if k <= n else 0
+
+    @pytest.mark.parametrize("which", ["M", "integral", "rtau"])
+    def test_starlike_ratios_rise(self, which):
+        assert explore.CRITERIA[which].max_l == 63
+        for l in range(1, 64):
+            ks = range(1, l + 1)
+            assert self.rising([self.S(l + 1, k) for k in ks], [self.S(l, k) for k in ks])
+
+    def test_convex_ratios_rise(self):
+        assert explore.CRITERIA["N"].max_l == 62
+        for l in range(1, 63):
+            ks = range(1, l + 2)
+            assert self.rising([self.S(l + 2, k) + self.S(l + 1, k) for k in ks],
+                               [self.S(l + 1, k) + self.S(l, k) for k in ks])
 
 
 class TestThresholdValidatesOnce:
@@ -280,14 +334,14 @@ class TestThresholdValidatesOnce:
         explore.find_threshold("rtau", 3, ClassParams(0.25, 1.2), RTauParams(1.0, 0.5, -0.5))
         assert len(checks) == 1
 
-    def test_overflow_on_the_outward_walk(self):
-        # 1 - alpha*lambda is about 1.3e-9: the walk goes up past 2^10 until
-        # the order-64 moment overflows
+    def test_overflow_at_the_bracket_ends(self):
+        # 1 - alpha*lambda is about 1.3e-9, so c is about 2.6e8: at both
+        # bracket ends the order-63 and order-64 moments overflow, inf - inf
         with pytest.raises(NumericFailure) as info:
             find_threshold("M", 63, ClassParams(0.749999999, 4.0 / 3.0))
         assert type(info.value) is NumericFailure
         assert str(info.value) == \
-            "criterion value inf is not finite (closed form via shifted moment tails)"
+            "criterion value nan is not finite (closed form via shifted moment tails)"
 
     @pytest.mark.parametrize("which, l, error, message", [
         ("M", 3.5, ParameterError, "closed-form path takes integer moment orders only, "

@@ -79,7 +79,7 @@ def test_criterion_value_point(which, m, plain):
 
 @pytest.mark.parametrize("l, plain", ORDERS, ids=ids(ORDERS))
 def test_find_threshold_order(l, plain):
-    # find_threshold takes no m; the ladder supplies it
+    # find_threshold takes no m; its bracket supplies it
     got = outcome(find_threshold, "M", l, P)
     assert got == (ParameterError if plain is None else find_threshold("M", plain, P))
 

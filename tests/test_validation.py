@@ -20,6 +20,7 @@ from touchardstar import (
     DiskGrid,
     InvalidOrder,
     NoThreshold,
+    NumericFailure,
     ParameterError,
     RTauParams,
     TouchardParams,
@@ -362,9 +363,11 @@ class TestUnreachedBranches:
         def below(which, l, m, lam, alpha, gain):
             return 0.0
 
+        # the bracket proves a sign change, so its absence is a numeric failure
         monkeypatch.setattr(explore, "closed_form", below)
-        with pytest.raises(NoThreshold, match="no sign change"):
+        with pytest.raises(NumericFailure, match="no sign change") as info:
             explore.find_threshold("M", 0, ClassParams(0.0, 1.2))
+        assert type(info.value) is NumericFailure
 
     def test_cli_malformed_alpha(self, capsys):
         with pytest.raises(SystemExit) as exc:
