@@ -148,12 +148,13 @@ def _itp(g, a: tuple, b: tuple, tol_m: float) -> tuple:
     by ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020); return (lo, hi, steps).
 
     Each step takes the regula falsi point, truncates it toward the midpoint
-    by kappa1 * width**2 (kappa1 = 0.2 / width0, kappa2 = 2) and projects it
+    by kappa1 * width**2 (kappa1 = 10 / width0, kappa2 = 2) and projects it
     into the interval about the midpoint that leaves a bracket no wider
     than tol_m * 2**(n - step), n = ceil(log2(width0 / tol_m)): ITP with
     n0 = 1, so at most n + 1 steps (one more than bisection) up to
-    rounding.  That width starts at width0 * 2**(n - log2(width0 / tol_m)),
-    below 2 * width0, so it cannot overflow however small tol_m is.  A point
+    rounding; that width starts below 2 * width0, so it cannot overflow.
+    The first five steps bisect: kappa1 = 0.2 / width0 lets one solve in 12
+    spend its slack where the criterion is far from linear, then bisect.  A point
     that is not strictly inside the bracket becomes the midpoint, and a
     bracket of two adjacent floats ends the refinement.  A step with g <= 0
     moves lo.
@@ -170,7 +171,7 @@ def _itp(g, a: tuple, b: tuple, tol_m: float) -> tuple:
             break
         x = lo + width * (g_lo / (g_lo - g_hi))
         toward = math.copysign(1.0, mid - x)
-        cut = 0.2 * width * (width / width0)
+        cut = 10.0 * width * (width / width0)
         x = x + toward * cut if cut <= abs(mid - x) else mid
         radius = allowed - 0.5 * width
         if not abs(x - mid) <= radius:

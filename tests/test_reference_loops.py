@@ -76,8 +76,13 @@ def reference_sum(f, p, convex):
 
 
 def reference_moment(l, m, tol=1e-12, term_cap=10_000):
-    """The series moment with both ratios raised to the power l at every step."""
+    """The series moment with both ratios raised to the power l at every step.
+
+    Past m = 745, exp(-m) underflows to 0 and every term with it; the
+    library refuses such an m with NoConvergence, and so does this loop."""
     scale = math.exp(-m)
+    if scale == 0.0:
+        raise NoConvergence("exp(-m) underflows")
     total = scale if l == 0 else 0.0
     terms = 1 if l == 0 else 0
     comp = 0.0
