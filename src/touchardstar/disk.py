@@ -9,7 +9,8 @@ not certificates.
 
 Every scan takes the derivatives it needs on all rings of the grid from one
 inverse DFT of the radius-scaled coefficients (:func:`series.evaluate_rings`),
-not from Horner's rule at every sample.
+not from Horner's rule at every sample.  Each grid keeps its points and radius
+powers from its first scan on.  A value past the largest float is a NumericFailure.
 
 Near-boundary radii are opt-in: truncation error of the series grows as
 |z| -> 1, so the default grid stops at 0.95.
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import ClassParams, RTauParams
-from .errors import ParameterError
+from .errors import NumericFailure, ParameterError
 from .formats import rows_csv
 from .moments import _integer, _real_check
-from .series import TruncatedSeries, evaluate_rings
+from .series import TruncatedSeries, _rings
 
 #: Margin on the violation comparison: a sample counts as a violation when
 #: the tested real part (or modulus) reaches bound - TOL_V.
@@ -76,9 +77,24 @@ class DiskGrid:
 
     def points(self) -> np.ndarray:
         """All sample points, ring-major then angle-major (deterministic order)."""
+        return self._points.copy()
+
+    @functools.cached_property  # in the instance dict, which eq, hash and repr never read
+    def _points(self) -> np.ndarray:
         theta = 2.0 * np.pi * np.arange(self.angles_per_ring) / self.angles_per_ring
         ring = np.exp(1j * theta)
-        return (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
+        z = (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
+        z.flags.writeable = False
+        return z
+
+    def _powers(self, width: int) -> np.ndarray:
+        """Read-only radii[i] ** j at [i, j], j < width at least: grows, is never mutated."""
+        table = self.__dict__.get("_power_table")
+        if table is None or table.shape[1] < width:
+            table = np.asarray(self.radii)[:, None] ** np.arange(width)
+            table.flags.writeable = False
+            self.__dict__["_power_table"] = table
+        return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,45 +127,40 @@ class VerificationReport:
         }
 
 
-def _scan(points: np.ndarray, num: np.ndarray, den: np.ndarray, stat, bound: float,
-          keep_samples: bool) -> VerificationReport:
-    """Scan ``stat`` (np.real or np.abs) of num/den; |den| < DEGENERATE_DEN is degenerate."""
+def _scan(f: TruncatedSeries, grid: DiskGrid | None, orders: tuple, quotient, stat,
+          bound: float, keep_samples: bool) -> VerificationReport:
+    """Scan ``stat`` of num/den, (num, den) = quotient(z, *f's ``orders`` at z), on ``grid``."""
     if not isinstance(keep_samples, bool):
         raise ParameterError(f"keep_samples must be True or False, got {keep_samples!r}")
-    valid = np.abs(den) >= DEGENERATE_DEN
-    values = stat(np.divide(num, den, out=np.full_like(den, np.nan), where=valid))
-    degenerate = int(np.size(valid) - np.count_nonzero(valid))
-    if np.count_nonzero(valid):
-        idx = int(np.nanargmax(values))
-        max_stat = float(values[idx])
-        arg = complex(points[idx])
-        violations = int(np.count_nonzero(values[valid] >= bound - TOL_V))
-    else:
-        max_stat, arg, violations = None, None, 0
+    grid = grid or DiskGrid.default()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
+        num, den = quotient(grid._points, *_rings(f, grid._powers, grid.angles_per_ring, orders))
+        valid = np.abs(den) >= DEGENERATE_DEN
+        quot = np.divide(num, den, out=np.full_like(den, np.nan), where=valid)
+    values = np.ascontiguousarray(stat(quot))  # the reductions below scan np.real's view slowly
+    degenerate = int(valid.size - np.count_nonzero(valid))
+    if np.count_nonzero(np.isfinite(values)) < valid.size - degenerate:
+        raise NumericFailure("the scanned quotient overflows a float")
+    max_stat = arg = None
+    if degenerate < valid.size:  # degenerate samples are NaN, which fmax skips and == rejects
+        idx = int(np.argmax(values == np.fmax.reduce(values)))  # the first maximum
+        max_stat, arg = float(values[idx]), complex(grid._points[idx])
     return VerificationReport(
         max_real_part=max_stat,
         arg_of_max=arg,
-        violations=violations,
-        samples=int(points.size),
+        violations=int(np.count_nonzero(values >= bound - TOL_V)),
+        samples=valid.size,
         degenerate_samples=degenerate,
         sample_values=values if keep_samples else None,
     )
 
 
-def _on_grid(f: TruncatedSeries, grid: DiskGrid | None, orders) -> tuple:
-    """The points of ``grid`` (None: the default grid) and f's ``orders`` there, a row each."""
-    grid = grid or DiskGrid.default()
-    # an ndarray of radii, which the grid has checked, so evaluate_rings does not look for bools
-    radii = np.asarray(grid.radii)
-    rows = evaluate_rings(f, radii, grid.angles_per_ring, orders).reshape(len(orders), -1)
-    return grid.points(), rows
-
-
 def verify_M(f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None,
              keep_samples: bool = False) -> VerificationReport:
     """Sample Re( z f' / ((1-lam) f + lam z f') ) and count samples reaching alpha."""
-    z, (fz, fpz) = _on_grid(f, grid, (0, 1))
-    return _scan(z, z * fpz, (1.0 - p.lam) * fz + p.lam * z * fpz, np.real, p.alpha, keep_samples)
+    def quotient(z, fz, fpz):
+        return z * fpz, (1.0 - p.lam) * fz + p.lam * z * fpz
+    return _scan(f, grid, (0, 1), quotient, np.real, p.alpha, keep_samples)
 
 
 def verify_N(f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None,
@@ -159,16 +170,18 @@ def verify_N(f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None,
     At lam = 0 the quotient reduces to 1 + z f''/f', the classical convexity
     statistic.
     """
-    z, (fpz, fppz) = _on_grid(f, grid, (1, 2))
-    return _scan(z, fpz + z * fppz, fpz + p.lam * z * fppz, np.real, p.alpha, keep_samples)
+    def quotient(z, fpz, fppz):
+        return fpz + z * fppz, fpz + p.lam * z * fppz
+    return _scan(f, grid, (1, 2), quotient, np.real, p.alpha, keep_samples)
 
 
 def verify_rtau(f: TruncatedSeries, r: RTauParams, grid: DiskGrid | None = None,
                 keep_samples: bool = False) -> VerificationReport:
     """Sample |(f' - 1) / ((A-B) tau - B (f' - 1))| and count samples reaching 1."""
-    z, (fpz,) = _on_grid(f, grid, (1,))
-    w = fpz - 1.0
-    return _scan(z, w, (r.A - r.B) * r.tau - r.B * w, np.abs, 1.0, keep_samples)
+    def quotient(z, fpz):
+        w = fpz - 1.0
+        return w, (r.A - r.B) * r.tau - r.B * w
+    return _scan(f, grid, (1,), quotient, np.abs, 1.0, keep_samples)
 
 
 def samples_to_csv(grid: DiskGrid, report: VerificationReport) -> str:

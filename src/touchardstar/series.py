@@ -244,7 +244,8 @@ def evaluate_rings(f: TruncatedSeries, radii, angles: int, orders=(0,)) -> np.nd
     :func:`evaluate` at ``DiskGrid.points()`` within
     8 (N + log2(angles) + 1) u sum_j |c_j| r**j for N coefficients c_j of
     the derivative, Horner's own error being of that order; no tail
-    estimate is attempted.
+    estimate is attempted.  A value past the largest float raises
+    NumericFailure.  Disk scans run the same body on their grid's powers.
     """
     r = _in_disk(radii, "ring radii", "iuf").astype(float)
     if r.ndim != 1:
@@ -254,14 +255,25 @@ def evaluate_rings(f: TruncatedSeries, radii, angles: int, orders=(0,)) -> np.nd
         orders = tuple(orders)
     except TypeError:
         raise ParameterError(f"derivative orders must be a sequence, got {orders!r}") from None
+    rows = _rings(f, lambda width: r[:, None] ** np.arange(width), k, orders)
+    return rows.reshape(len(orders), r.size, k)
+
+
+def _rings(f: TruncatedSeries, powers, k: int, orders: tuple) -> np.ndarray:
+    """evaluate_rings, a row per order, on checked arguments; powers(width)[i, j] = r_i**j."""
     width = -(-(f.order + 1) // k) * k  # powers 0..N padded to whole blocks of k
     c = np.zeros((len(orders), width))
-    for row, d in zip(c, orders):
-        p = _power_coeffs(f, d)
-        row[:p.size] = p
-    scaled = c[:, None, :] * r[:, None] ** np.arange(width)
-    folded = scaled.reshape(len(orders), r.size, -1, k).sum(axis=2)
-    return np.fft.ifft(folded, axis=-1, norm="forward")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
+        for row, d in zip(c, orders):
+            p = _power_coeffs(f, d)
+            row[:p.size] = p
+        scaled = c[:, None, :] * powers(width)[:, :width]
+        if width > k:
+            scaled = scaled.reshape(*scaled.shape[:2], -1, k).sum(axis=2)
+        out = np.fft.ifft(scaled, axis=-1, norm="forward")
+    if not np.isfinite(out.view(float)).all():
+        raise NumericFailure(f"ring values of a series of order {f.order} overflow a float")
+    return out.reshape(len(orders), -1)
 
 
 def series_to_csv(f: TruncatedSeries) -> str:

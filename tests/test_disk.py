@@ -8,11 +8,13 @@ import pytest
 from touchardstar import (
     ClassParams,
     DiskGrid,
+    NumericFailure,
     ParameterError,
     RTauParams,
     TouchardParams,
     TruncatedSeries,
     evaluate,
+    evaluate_rings,
     lemma_sum_N,
     samples_to_csv,
     theorem_M_lhs,
@@ -68,6 +70,58 @@ class TestDiskGrid:
             DiskGrid((0.5,), True)
         with pytest.raises(ParameterError):
             DiskGrid.uniform(0.5, rings=True)
+
+
+class TestGridTables:
+    """Each grid keeps its sample points and radius powers; no scan can tell."""
+
+    F = touchard_series(TouchardParams(2, 1.5), 8)
+    G = touchard_series(TouchardParams(1, 0.7), 200)
+    P = ClassParams(0.25, 1.2)
+
+    @staticmethod
+    def scans(f, grid):
+        p, r = TestGridTables.P, RTauParams(1.0, 0.8, -0.5)
+        return [verify(f, q, grid, keep_samples=True)
+                for verify, q in ((verify_M, p), (verify_N, p), (verify_rtau, r))]
+
+    def test_points_stay_fresh_and_writable(self):
+        g = DiskGrid.uniform(0.9, rings=3, angles=8)
+        verify_M(self.F, self.P, g)
+        z = g.points()
+        assert z.flags.writeable and z is not g.points()
+        z[0] = 7.0
+        assert g.points()[0] == pytest.approx(0.3)
+
+    def test_cached_tables_are_read_only(self):
+        g = DiskGrid.uniform(0.9, rings=3, angles=8)
+        verify_N(self.G, self.P, g)
+        for table in (g._points, g._powers(1)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    @pytest.mark.parametrize("angles", [7, 96, 256])
+    def test_short_then_long_series_match_a_fresh_grid(self, angles):
+        g = DiskGrid((0.3, 0.8, 0.99), angles)
+        first = self.scans(self.F, g)
+        assert g._powers(1).shape[1] == -(-9 // angles) * angles
+        grown = self.scans(self.G, g)
+        assert g._powers(1).shape[1] == -(-201 // angles) * angles
+        short_again = self.scans(self.F, g)
+        for used, f in ((first, self.F), (grown, self.G), (short_again, self.F)):
+            fresh = self.scans(f, DiskGrid((0.3, 0.8, 0.99), angles))
+            assert [repr(a) for a in used] == [repr(b) for b in fresh]
+            assert [a.sample_values.tobytes() for a in used] == \
+                [b.sample_values.tobytes() for b in fresh]
+
+    def test_equality_hash_and_repr_ignore_the_tables(self):
+        g, h = DiskGrid((0.5, 0.9), 12), DiskGrid((0.5, 0.9), 12)
+        before = (repr(g), hash(g))
+        self.scans(self.G, g)
+        assert (repr(g), hash(g)) == before == (repr(h), hash(h))
+        assert g == h and len({g, h}) == 1
+        assert g != DiskGrid((0.5, 0.9), 16)
 
 
 class TestVerifyM:
@@ -227,6 +281,29 @@ class TestScansMatchHorner:
         default = verify_M(f, ClassParams(0.0, 1.2), keep_samples=True)
         ring = DiskGrid.default().radii.index(0.5)
         assert np.isnan(default.sample_values[ring * 96])
+
+
+class TestOverflow:
+    """A series whose derivative coefficients overflow a float is a numeric
+    failure, not a traceback and not a report of degenerate samples."""
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 1e308], [1.0, 0.0, 1e308]])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("verify", [verify_M, verify_N, verify_rtau])
+    def test_numeric_failure(self, verify, lam, coeffs):
+        params = RTauParams(1.0, lam, -0.5) if verify is verify_rtau else ClassParams(lam, 1.2)
+        with pytest.raises(NumericFailure, match="overflow") as info:
+            verify(TruncatedSeries(coeffs), params)
+        assert type(info.value) is NumericFailure
+
+    def test_quotient_past_the_float_range(self):
+        # f' is finite on every ring, but z f' and f' + z f'' are not
+        with pytest.raises(NumericFailure, match="overflow"):
+            verify_M(TruncatedSeries([1.0, 8e307]), ClassParams(0.0, 1.2))
+
+    def test_ring_values(self):
+        with pytest.raises(NumericFailure, match="overflow"):
+            evaluate_rings(TruncatedSeries([1.0, 1e308]), [0.5], 8, (1,))
 
 
 class TestSampleDump:

@@ -1,12 +1,15 @@
-"""The coefficient route against reference copies of its former scalar loops.
+"""The coefficient route and the disk scans against reference copies of
+their former implementations.
 
 The kernel series is built with one cumulative product, the series moment
 carries each step's ratio factors into the next step, and the coefficient
-sums hand ``math.fsum`` a list.  None of this may move a single bit: every
-comparison below is on ``tobytes()`` or ``repr``, never approximate.  The
-loops here are the implementations those functions replaced, kept verbatim
-in their arithmetic.  The rest pins the series constructor's checks, the
-overflow failures and the order-1 operator input.
+sums hand ``math.fsum`` a list.  The disk scans take their sample points and
+radius powers from tables the grid keeps, and find the maximum with
+``np.fmax``.  None of this may move a single bit: every comparison below is
+on ``tobytes()`` or ``repr``, never approximate.  The loops here are the
+implementations those functions replaced, kept verbatim in their arithmetic.
+The rest pins the series constructor's checks, the overflow failures and the
+order-1 operator input.
 """
 
 import math
@@ -21,11 +24,13 @@ from hypothesis import strategies as st
 
 from touchardstar import (
     ClassParams,
+    DiskGrid,
     InvalidOrder,
     MomentValue,
     NoConvergence,
     NumericFailure,
     ParameterError,
+    RTauParams,
     TouchardParams,
     TruncatedSeries,
     apply_operator_I,
@@ -34,8 +39,12 @@ from touchardstar import (
     lemma_sum_N,
     poisson_moment_series,
     touchard_series,
+    verify_M,
+    verify_N,
+    verify_rtau,
 )
 from touchardstar.criteria import METHOD_COEFF, TOL_EQ, MembershipReport
+from touchardstar.disk import DEGENERATE_DEN, TOL_V, VerificationReport
 
 ORDERS = st.sampled_from([2, 3, 7, 64, 65, 200])
 INTEGER_L = st.integers(0, 64)
@@ -113,6 +122,105 @@ def finite_reference(l, m, order):
         warnings.simplefilter("ignore", RuntimeWarning)
         u = reference_kernel(l, m, order)
     return u if np.isfinite(u).all() else None
+
+
+def reference_rings(f, radii, angles, orders):
+    """f's ``orders`` on the rings, every call forming its own radius powers
+    and folding even when one block of ``angles`` holds every power."""
+    r = np.asarray(radii, dtype=float)
+    n = np.arange(1, f.order + 1, dtype=float)
+    width = -(-(f.order + 1) // angles) * angles
+    c = np.zeros((len(orders), width))
+    for row, d in zip(c, orders):
+        p = (np.concatenate([[0.0], f.coeffs]), n * f.coeffs, ((n * (n - 1)) * f.coeffs)[1:])[d]
+        row[:p.size] = p
+    scaled = c[:, None, :] * r[:, None] ** np.arange(width)
+    folded = scaled.reshape(len(orders), r.size, -1, angles).sum(axis=2)
+    return np.fft.ifft(folded, axis=-1, norm="forward")
+
+
+def reference_on_grid(f, grid, orders):
+    """The grid's points, formed on every call, and f's ``orders`` there."""
+    theta = 2.0 * np.pi * np.arange(grid.angles_per_ring) / grid.angles_per_ring
+    ring = np.exp(1j * theta)
+    points = (np.asarray(grid.radii)[:, None] * ring[None, :]).ravel()
+    rows = reference_rings(f, grid.radii, grid.angles_per_ring, orders)
+    return points, rows.reshape(len(orders), -1)
+
+
+def reference_scan(points, num, den, stat, bound):
+    """The scan with np.nanargmax and violations counted on a boolean-indexed copy."""
+    valid = np.abs(den) >= DEGENERATE_DEN
+    values = stat(np.divide(num, den, out=np.full_like(den, np.nan), where=valid))
+    degenerate = int(np.size(valid) - np.count_nonzero(valid))
+    if np.count_nonzero(valid):
+        idx = int(np.nanargmax(values))
+        max_stat = float(values[idx])
+        arg = complex(points[idx])
+        violations = int(np.count_nonzero(values[valid] >= bound - TOL_V))
+    else:
+        max_stat, arg, violations = None, None, 0
+    return VerificationReport(max_real_part=max_stat, arg_of_max=arg, violations=violations,
+                              samples=int(points.size), degenerate_samples=degenerate,
+                              sample_values=values)
+
+
+def reference_verify(which, f, params, grid):
+    grid = grid or DiskGrid.uniform()
+    if which == "M":
+        z, (fz, fpz) = reference_on_grid(f, grid, (0, 1))
+        return reference_scan(z, z * fpz, (1.0 - params.lam) * fz + params.lam * z * fpz,
+                              np.real, params.alpha)
+    if which == "N":
+        z, (fpz, fppz) = reference_on_grid(f, grid, (1, 2))
+        return reference_scan(z, fpz + z * fppz, fpz + params.lam * z * fppz, np.real,
+                              params.alpha)
+    z, (fpz,) = reference_on_grid(f, grid, (1,))
+    w = fpz - 1.0
+    return reference_scan(z, w, (params.A - params.B) * params.tau - params.B * w, np.abs, 1.0)
+
+
+VERIFY = {"M": verify_M, "N": verify_N, "rtau": verify_rtau}
+
+# coefficients of both signs, the identity z, and series with a zero of f
+# (z = 0.5) or f' (z = 0.5, 1/3) on a grid radius, which make degenerate samples
+SERIES = st.one_of(
+    st.lists(st.floats(-3.0, 3.0), max_size=90).map(lambda c: [1.0] + c),
+    st.sampled_from([[1.0], [1.0, 0.0], [1.0, -2.0], [1.0, -1.0], [1.0, -1.5, 0.0]]),
+)
+# few and many angles, so that N + 1 falls below and above one ring; None scans
+# the default grid, the one object every default scan shares
+GRIDS = st.builds(
+    DiskGrid,
+    st.lists(st.sampled_from([0.5, 1.0 / 3.0, 0.05, 0.95, 0.995]) | st.floats(0.01, 0.999),
+             min_size=1, max_size=5).map(tuple),
+    st.sampled_from([1, 2, 3, 7, 16, 96]) | st.integers(1, 300),
+) | st.none()
+
+
+class TestScanBitIdentity:
+    """Every report field and every sample value of a scan is the former scan's."""
+
+    @given(st.sampled_from(sorted(VERIFY)), st.lists(SERIES, min_size=1, max_size=3), GRIDS,
+           st.floats(0.0, 0.99), st.floats(1.0001, 4.0 / 3.0), st.floats(-1.0, 0.9))
+    def test_scans(self, which, many, grid, lam, alpha, b):
+        params = (RTauParams(complex(alpha, lam), min(1.0, b + alpha - 0.9), b)
+                  if which == "rtau" else ClassParams(lam, alpha))
+        # one grid serves every series in turn, so its tables grow and are reused
+        for coeffs in many:
+            f = TruncatedSeries(coeffs)
+            got = VERIFY[which](f, params, grid, keep_samples=True)
+            ref = reference_verify(which, f, params, grid)
+            assert repr(got) == repr(ref)
+            assert got.sample_values.tobytes() == ref.sample_values.tobytes()
+            assert repr(VERIFY[which](f, params, grid)) == repr(ref)
+
+    def test_all_degenerate_scan(self):
+        # f' = 1 - 2z vanishes at the only sample, z = 0.5, and lambda = 0
+        f, p, grid = TruncatedSeries([1.0, -1.0]), ClassParams(0.0, 1.2), DiskGrid((0.5,), 1)
+        got, ref = verify_N(f, p, grid, keep_samples=True), reference_verify("N", f, p, grid)
+        assert repr(got) == repr(ref) and got.max_real_part is None
+        assert got.sample_values.tobytes() == ref.sample_values.tobytes()
 
 
 class TestBitIdentity:

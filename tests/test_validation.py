@@ -146,22 +146,26 @@ def child(*argv):
                           text=True, env=env, timeout=60)
 
 
-@pytest.mark.parametrize("argv", [
-    ["moment", "--l", "inf", "--m", "1", "--series"],
-    ["moment", "--l", "nan", "--m", "1", "--series"],
-    ["moment", "--l", "inf", "--m", "1"],
-    ["threshold", "--which", "M", "--l", "3.5", "--lambda", "0.75", "--alpha", "4/3"],
-    ["coeffs", "--l", "3", "--m", "1", "--order", "100000000000"],
-    ["check-class", "--class", "Mstar", "--lambda", "0", "--alpha", "1.2",
-     "--touchard", "3", "1", "--order", "100000000000"],
-    ["verify-disk", "--which", "M", "--lambda", "0", "--alpha", "1.2",
-     "--touchard", "3", "1", "--order", "100000000000"],
+@pytest.mark.parametrize("argv, code", [
+    (["moment", "--l", "inf", "--m", "1", "--series"], 2),
+    (["moment", "--l", "nan", "--m", "1", "--series"], 2),
+    (["moment", "--l", "inf", "--m", "1"], 2),
+    (["threshold", "--which", "M", "--l", "3.5", "--lambda", "0.75", "--alpha", "4/3"], 2),
+    (["coeffs", "--l", "3", "--m", "1", "--order", "100000000000"], 2),
+    (["check-class", "--class", "Mstar", "--lambda", "0", "--alpha", "1.2",
+      "--touchard", "3", "1", "--order", "100000000000"], 2),
+    (["verify-disk", "--which", "M", "--lambda", "0", "--alpha", "1.2",
+      "--touchard", "3", "1", "--order", "100000000000"], 2),
+    # f' = 1 + 2e308 z: the derivative coefficient overflows a float
+    (["verify-disk", "--which", "M", "--lambda", "0.5", "--alpha", "1.2",
+      "--series", str(Path(__file__).parent / "data" / "overflow_series.csv")], 3),
 ], ids=["inf-series", "nan-series", "inf-closed", "threshold-non-integer", "coeffs-order",
-        "check-class-order", "verify-disk-order"])
-def test_cli_exits_two_without_traceback(argv):
+        "check-class-order", "verify-disk-order", "verify-disk-overflow"])
+def test_cli_exits_without_traceback(argv, code):
     proc = child(*argv)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith({2: "error: ", 3: "numeric failure: "}[code])
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 F = TruncatedSeries([1.0, 0.5])
