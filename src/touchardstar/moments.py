@@ -36,6 +36,9 @@ L_MAX = 64
 #: Hard cap on the terms a moment series sums and on a kernel's truncation order.
 SERIES_TERM_CAP = 10_000
 
+#: Hard cap on the samples of a disk grid (rings times angles per ring).
+GRID_SAMPLE_CAP = 2**20
+
 #: Default truncation order of a kernel series.  Doubling it moves every
 #: criterion value reported downstream by far less than 1e-12 for m <= 10
 #: (the coefficients decay factorially), which the test suite checks.
@@ -202,12 +205,21 @@ def poisson_moment_closed(l: int, m: float) -> MomentValue:
     Horner's rule over the Stirling coefficients rounded to floats; none is
     negative and m > 0, so the relative error is at most (2l+1)u/(1-(2l+1)u),
     u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 5.1,
-    plus the coefficient rounding).  mu_0 = 1 for every m.
+    plus the coefficient rounding).  mu_0 = 1 for every m.  A value past the
+    largest float raises NumericFailure.
     """
     l = _as_integer_order(l)
     m = _check_m(m)
-    value = tail_kernel(l, m) if l else 1.0
+    value = _closed_tail(l, m) if l else 1.0
     return MomentValue(value=value, method=METHOD_CLOSED)
+
+
+def _closed_tail(l: int, m: float) -> float:
+    """:func:`tail_kernel` at a float m, or NumericFailure past the largest float."""
+    value = tail_kernel(l, m)
+    if not value < math.inf:
+        raise NumericFailure(f"closed-form moment of order {l} at m={m} overflows a float")
+    return value
 
 
 def poisson_moment_series(
@@ -279,6 +291,7 @@ def tail_moment(l: int, m: float) -> float:
 
     Equals mu_l for l >= 1 and 1 - exp(-m) for l = 0.  The membership
     criteria are all linear combinations of these tails, which is what makes
-    one formula cover both the l = 0 and l >= 1 cases.
+    one formula cover both the l = 0 and l >= 1 cases.  A value past the
+    largest float raises NumericFailure.
     """
-    return float(tail_kernel(_as_integer_order(l), _check_m(m)))
+    return float(_closed_tail(_as_integer_order(l), _check_m(m)))

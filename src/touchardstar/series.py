@@ -222,10 +222,14 @@ def evaluate(f: TruncatedSeries, z, order: int = 0):
     each point: no tail estimate is attempted, callers keep |z| away from 1
     and the truncation order large instead.  The disk scans do not come
     here: they evaluate whole rings of equally spaced points with one
-    inverse DFT through :func:`evaluate_rings`.
+    inverse DFT through :func:`evaluate_rings`.  A value past the largest
+    float raises NumericFailure.
     """
     zs = _in_disk(z, "evaluation points")
-    out = np.polyval(_power_coeffs(f, order)[::-1], zs.astype(complex))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
+        out = np.polyval(_power_coeffs(f, order)[::-1], zs.astype(complex))
+    if not np.isfinite(out).all():
+        raise NumericFailure(f"values of a series of order {f.order} overflow a float")
     if np.isscalar(z) or zs.ndim == 0:
         return complex(out)
     return out
@@ -256,14 +260,24 @@ def evaluate_rings(f: TruncatedSeries, radii, angles: int, orders=(0,)) -> np.nd
     except TypeError:
         raise ParameterError(f"derivative orders must be a sequence, got {orders!r}") from None
     rows = _rings(f, lambda width: r[:, None] ** np.arange(width), k, orders)
+    if not np.isfinite(rows.view(float)).all():
+        raise NumericFailure(_ring_overflow(f))
     return rows.reshape(len(orders), r.size, k)
 
 
+def _ring_overflow(f: TruncatedSeries) -> str:
+    return f"ring values of a series of order {f.order} overflow a float"
+
+
 def _rings(f: TruncatedSeries, powers, k: int, orders: tuple) -> np.ndarray:
-    """evaluate_rings, a row per order, on checked arguments; powers(width)[i, j] = r_i**j."""
+    """evaluate_rings, a row per order, on checked arguments; powers(width)[i, j] = r_i**j.
+
+    Unchecked: a row that overflows holds inf or NaN.  numpy transforms each
+    row on its own, so a row is bit for bit the same whichever orders are
+    computed with it (tests/test_disk.py checks this)."""
     width = -(-(f.order + 1) // k) * k  # powers 0..N padded to whole blocks of k
     c = np.zeros((len(orders), width))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
+    with np.errstate(over="ignore", invalid="ignore"):  # callers catch inf and NaN
         for row, d in zip(c, orders):
             p = _power_coeffs(f, d)
             row[:p.size] = p
@@ -271,8 +285,6 @@ def _rings(f: TruncatedSeries, powers, k: int, orders: tuple) -> np.ndarray:
         if width > k:
             scaled = scaled.reshape(*scaled.shape[:2], -1, k).sum(axis=2)
         out = np.fft.ifft(scaled, axis=-1, norm="forward")
-    if not np.isfinite(out.view(float)).all():
-        raise NumericFailure(f"ring values of a series of order {f.order} overflow a float")
     return out.reshape(len(orders), -1)
 
 

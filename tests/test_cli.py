@@ -58,6 +58,12 @@ class TestMoment:
         assert code == 3
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_closed_form_past_the_float_range_exits_3(self, capsys, fmt):
+        code, out, err = run(capsys, ["moment", "--l", "2", "--m", "1e300", "--format", fmt])
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure:") and "overflows a float" in err
+
     def test_invalid_m_exit_code(self, capsys):
         code, _, _ = run(capsys, ["moment", "--l", "0", "--m", "-1"])
         assert code == 2
@@ -256,6 +262,14 @@ class TestVerifyDisk:
                                     "--touchard", "0", "0.3"])
         assert code == 2
         assert "--lambda" in err
+
+    @pytest.mark.parametrize("grid", [["--angles", "100000000000"],
+                                      ["--rings", "1100", "--angles", "1000"]])
+    def test_oversized_grid_exits_2_before_allocating(self, capsys, grid):
+        code, out, err = run(capsys, ["verify-disk", "--which", "M", "--touchard", "0", "0.3",
+                                      "--lambda", "0", "--alpha", "4/3", *grid])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a disk grid holds at most 1048576 samples")
 
     def test_dump_samples(self, capsys, tmp_path):
         dump = tmp_path / "samples.csv"

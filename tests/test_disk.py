@@ -1,6 +1,10 @@
 """Disk sampling of the defining analytic conditions."""
 
+import copy
+import itertools
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +27,9 @@ from touchardstar import (
     verify_N,
     verify_rtau,
 )
+from touchardstar import disk
 from touchardstar.disk import DEGENERATE_DEN, TOL_V
+from touchardstar.moments import GRID_SAMPLE_CAP
 
 
 class TestDiskGrid:
@@ -122,6 +128,168 @@ class TestGridTables:
         assert (repr(g), hash(g)) == before == (repr(h), hash(h))
         assert g == h and len({g, h}) == 1
         assert g != DiskGrid((0.5, 0.9), 16)
+
+
+class TestGridCap:
+    """A grid past GRID_SAMPLE_CAP samples is refused before anything is allocated.
+
+    Were the check lost, each case here would allocate no more than about
+    100 MB before failing (a radius per ring, or nothing while points and
+    tables are built lazily)."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: DiskGrid.uniform(0.95, rings=2**21, angles=1),
+        lambda: DiskGrid.uniform(0.95, rings=19, angles=10**11),
+        lambda: DiskGrid((0.5,), GRID_SAMPLE_CAP + 1),
+        lambda: DiskGrid((0.3, 0.6), GRID_SAMPLE_CAP // 2 + 1),
+    ])
+    def test_refused_before_allocation(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="at most 1048576 samples"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_cap_itself_is_accepted(self):
+        assert GRID_SAMPLE_CAP == 2**20
+        assert DiskGrid.uniform(0.9, rings=2**10, angles=2**10).size == GRID_SAMPLE_CAP
+        assert DiskGrid((0.5,), GRID_SAMPLE_CAP).size == GRID_SAMPLE_CAP
+
+    def test_angles_checked_before_the_product(self):
+        with pytest.raises(ParameterError, match="angles_per_ring must be an integer"):
+            DiskGrid.uniform(0.5, rings=3, angles=0)
+        with pytest.raises(ParameterError, match="angles_per_ring must be an integer"):
+            DiskGrid.uniform(0.5, rings=3, angles=2.5)
+
+
+def benchmark_kernels():
+    """Kernels shaped like the benchmark's: l = 0..6, m over [1/16, 20], order 64."""
+    ms = np.geomspace(1.0 / 16.0, 20.0, 7)
+    return [touchard_series(TouchardParams(l, float(m)), 64)
+            for l, m in zip(range(7), np.roll(ms, 3))]
+
+
+#: The default grid and the benchmark's near-boundary grid.
+MEMO_GRIDS = (DiskGrid.default().radii, (0.97, 0.98, 0.99, 0.995))
+SCANS = {"M": (verify_M, ClassParams(0.3, 1.25)), "N": (verify_N, ClassParams(0.3, 1.25)),
+         "rtau": (verify_rtau, RTauParams(0.5 - 0.5j, 0.8, -0.6))}
+
+
+def scan(which, f, grid):
+    verify, params = SCANS[which]
+    return verify(f, params, grid, keep_samples=True)
+
+
+def fingerprint(report):
+    return repr(report), report.sample_values.tobytes()
+
+
+class TestRingMemo:
+    """Each grid keeps f, f' and f'' of the last series it scanned; no report can tell."""
+
+    @pytest.mark.parametrize("radii", MEMO_GRIDS)
+    def test_rows_together_equal_rows_apart(self, radii):
+        grid = DiskGrid(radii, 96)
+        for f in benchmark_kernels():
+            rows, finite = grid._ring_table(f)
+            assert finite == [True] * 3
+            for d in range(3):
+                alone = evaluate_rings(f, radii, 96, (d,)).ravel()
+                assert rows[d].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("radii", MEMO_GRIDS)
+    def test_every_scan_order_matches_fresh_grids(self, radii):
+        kernels = benchmark_kernels()
+        expected = {(i, w): fingerprint(scan(w, f, DiskGrid(radii, 96)))
+                    for i, f in enumerate(kernels) for w in SCANS}
+        for order in itertools.permutations(SCANS):
+            grid = DiskGrid(radii, 96)
+            for i, f in enumerate(kernels):
+                for w in order:
+                    assert fingerprint(scan(w, f, grid)) == expected[i, w]
+
+    def test_default_grid_shares_the_memo(self):
+        f = benchmark_kernels()[3]
+        expected = [fingerprint(scan(w, f, DiskGrid(MEMO_GRIDS[0], 96))) for w in SCANS]
+        got = [fingerprint(scan(w, f, None)) for w in SCANS]
+        assert got == expected
+        assert DiskGrid.default().__dict__["_ring_memo"][0] is f
+
+    def test_one_transform_per_series(self, monkeypatch):
+        calls = []
+
+        def counting(f, *args):
+            calls.append(f)
+            return rings(f, *args)
+
+        rings = disk._rings
+        monkeypatch.setattr(disk, "_rings", counting)
+        grid = DiskGrid((0.4, 0.8), 16)
+        coeffs = [1.0, 0.2, -0.1, 0.05]
+        f, g = TruncatedSeries(coeffs), TruncatedSeries(coeffs)
+        for w in SCANS:
+            scan(w, f, grid)
+        assert calls == [f]
+        first = [fingerprint(scan(w, f, grid)) for w in SCANS]
+        # equal coefficients, distinct objects: every switch is a miss
+        interleaved = [fingerprint(scan(w, h, grid)) for h in (g, f, g, f) for w in ("M", "N")]
+        assert [c is f for c in calls] == [True, False, True, False, True]
+        again = [fingerprint(scan(w, f, grid)) for w in SCANS]
+        assert len(calls) == 5
+        assert again == first
+        assert interleaved == [first[0], first[1]] * 4
+
+    def test_overflow_is_checked_per_row(self):
+        # f = z + 5e305 z^200: f and f' fit a float on every ring, f'' does not
+        coeffs = np.zeros(200)
+        coeffs[0], coeffs[-1] = 1.0, 5e305
+        f = TruncatedSeries(coeffs)
+        radii = (0.5, 0.9, 0.99)
+        expected = {w: fingerprint(scan(w, f, DiskGrid(radii, 96))) for w in ("M", "rtau")}
+        for first_n in (True, False):
+            grid = DiskGrid(radii, 96)
+            if first_n:
+                with pytest.raises(NumericFailure, match="overflow"):
+                    scan("N", f, grid)
+            assert {w: fingerprint(scan(w, f, grid)) for w in ("M", "rtau")} == expected
+            with pytest.raises(NumericFailure, match="overflow") as info:
+                scan("N", f, grid)
+            assert type(info.value) is NumericFailure
+        rows, finite = grid._ring_table(f)
+        assert finite == [True, True, False]
+
+    def test_rows_are_read_only(self):
+        grid = DiskGrid((0.5, 0.9), 12)
+        verify_M(benchmark_kernels()[1], ClassParams(0.0, 1.2), grid)
+        rows, _ = grid._ring_table(benchmark_kernels()[1])
+        for view in (rows, *rows):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[..., 0] = 0.0
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda g: pickle.loads(pickle.dumps(g))])
+    def test_a_scanned_grid_copies_without_its_memo(self, duplicate):
+        f = benchmark_kernels()[2]
+        grid = DiskGrid((0.5, 0.9), 12)
+        before = fingerprint(scan("N", f, grid))
+        twin = duplicate(grid)
+        assert twin == grid and "_ring_memo" not in twin.__dict__
+        assert fingerprint(scan("N", f, twin)) == before
+        assert grid.__dict__["_ring_memo"][0] is f
+
+    def test_series_dropped_in_a_loop_never_hit_a_stale_entry(self):
+        # a freed series' address is soon reused: the memo must not key on it
+        grid = DiskGrid((0.6, 0.95), 32)
+        for k in range(40):
+            f = TruncatedSeries([1.0, 0.01 * k, -0.002 * k])
+            for w in ("M", "N"):
+                fresh = scan(w, f, DiskGrid(grid.radii, 32))
+                assert fingerprint(scan(w, f, grid)) == fingerprint(fresh)
+            del f
 
 
 class TestVerifyM:

@@ -20,6 +20,7 @@ from touchardstar import (
     InvalidIndex,
     MomentValue,
     NoConvergence,
+    NumericFailure,
     OrderTooLarge,
     ParameterError,
     TouchardParams,
@@ -145,6 +146,22 @@ class TestClosedMoments:
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
             poisson_moment_closed(65, 1.0)
+
+    @pytest.mark.parametrize("l, m", [(2, 1e300), (2, 1.4e154), (64, 1e5), (3, 5.7e102)])
+    def test_past_the_float_range(self, l, m):
+        assert tail_kernel(l, m) == math.inf  # the sweep's kernel keeps its inf
+        for moment in (lambda: poisson_moment_closed(l, m), lambda: tail_moment(l, m)):
+            with pytest.raises(NumericFailure, match="overflows a float") as info:
+                moment()
+            assert type(info.value) is NumericFailure
+
+    @pytest.mark.parametrize("l, m", [(2, 1.3e154), (1, 1.7e308), (64, 1e4)])
+    def test_last_finite_values_stay_values(self, l, m):
+        value = poisson_moment_closed(l, m).value
+        assert value < math.inf and tail_moment(l, m) == value
+
+    def test_order_zero_never_overflows(self):
+        assert poisson_moment_closed(0, 1e300).value == 1.0 == tail_moment(0, 1e300)
 
 
 class TestSeriesMoments:

@@ -6,6 +6,7 @@ quadrature of the integrand.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 from touchardstar import (
     DiskGrid,
     InvalidOrder,
+    NumericFailure,
     OutOfDisk,
     ParameterError,
     TouchardParams,
@@ -267,6 +269,23 @@ class TestEvaluate:
         f = TruncatedSeries([1.0, 0.1])
         with pytest.raises(ParameterError):
             evaluate(f, 0.1, 3)
+
+    @pytest.mark.parametrize("coeffs, z, order", [
+        ([1.0, 1e308], 0.5, 1),  # the derivative coefficient 2e308
+        ([1.0, 0.0, 1e308], 0.9 + 0.1j, 2),
+        ([1.0, 1.7e308, 1.7e308], np.array([0.1, 0.99]), 0),  # the sum of two finite terms
+    ])
+    def test_overflow_is_a_numeric_failure_without_warnings(self, coeffs, z, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match="overflow") as info:
+                evaluate(TruncatedSeries(coeffs), z, order)
+        assert type(info.value) is NumericFailure
+
+    def test_largest_finite_value_is_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate(TruncatedSeries([1.0, 1e308]), 0.5, 0) == 0.5 + 2.5e307
 
     @given(
         st.lists(st.floats(min_value=-2, max_value=2), min_size=1, max_size=10),
