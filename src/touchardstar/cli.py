@@ -221,7 +221,6 @@ def _cmd_threshold(args) -> str:
         "residual": result.residual,
         "iterations": result.iterations,
         "criterion": result.criterion,
-        "warnings": ";".join(result.warnings),
     })
 
 

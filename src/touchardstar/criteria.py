@@ -6,17 +6,21 @@ parametrized by 0 <= lambda < 1 and an order 1 < alpha <= 4/3:
 * starlike type: Re( z f'(z) / ((1-lambda) f(z) + lambda z f'(z)) ) < alpha,
 * convex type:   Re( (f'(z) + z f''(z)) / (f'(z) + lambda z f''(z)) ) < alpha.
 
-For a series with nonnegative coefficients, membership is equivalent to a
-weighted coefficient sum staying below alpha - 1.  The weight is
+For a series with nonnegative coefficients, membership requires a weighted
+coefficient sum to stay below alpha - 1 (let z -> 1 along the real axis).
+The weight is
 
     w(n) = n - (1 + n*lambda - lambda) * alpha
 
-for the starlike type and n * w(n) for the convex type.  Beware that w(n)
-can be negative when alpha*lambda approaches 1; the sums are computed as
-written, with no clamping, and the report flags when a negative weight
-actually contributed, because a verdict resting on negative weights no
-longer dominates the analytic condition (the disk sampler demonstrates
-this; see the test suite).
+for the starlike type and n * w(n) for the convex type.  The sum suffices
+only where every contributing v(n) = n - (2 alpha - 1)(1 + (n - 1) lambda)
+is >= 0, which for the kernel means lambda <= (3 - 2 alpha)/(2 alpha - 1);
+elsewhere a "member" verdict can be wrong with no flag (see the README).
+Beware too that w(n) can be negative when alpha*lambda approaches 1; the
+sums are computed as written, with no clamping, and the report flags when
+a negative weight actually contributed, because a verdict resting on
+negative weights no longer dominates the analytic condition (the disk
+sampler demonstrates this; see the test suite).
 
 When the series is the Poisson-weighted kernel, the sums telescope into
 shifted-moment tails, giving closed forms that need no truncation at all.
@@ -37,7 +41,7 @@ import numbers
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import NegativeCoefficient, NumericFailure, OrderTooLarge, ParameterError
+from .errors import NegativeCoefficient, OrderTooLarge, ParameterError, finite, guarded
 from .moments import (
     DEFAULT_ORDER,
     L_MAX,
@@ -164,8 +168,12 @@ class RTauParams:
 
     @property
     def gain(self) -> float:
-        """(A - B) * |tau|, the factor the sharp coefficient bound carries."""
-        return (self.A - self.B) * abs(self.tau)
+        """(A - B) * |tau|, the factor the sharp coefficient bound carries;
+        inf past the largest float, for the criteria to report."""
+        try:
+            return (self.A - self.B) * abs(self.tau)
+        except OverflowError:  # |tau| itself
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -189,15 +197,8 @@ class MembershipReport:
         return asdict(self)
 
 
-def _finite(value: float, detail: str) -> float:
-    """``value`` if it is finite, else NumericFailure naming the criterion's ``detail``."""
-    if not math.isfinite(value):
-        raise NumericFailure(f"criterion value {value!r} is not finite ({detail})")
-    return value
-
-
 def _verdict(value: float, p: ClassParams, method: str, detail: str) -> MembershipReport:
-    value, bound = float(_finite(value, detail)), p.bound
+    value, bound = float(finite(value, "the criterion value")), p.bound
     report = object.__new__(MembershipReport)  # filled at once, not by a setattr per field
     object.__setattr__(report, "__dict__", {
         "criterion_value": value, "bound": bound, "member": value <= bound + TOL_EQ,
@@ -216,8 +217,16 @@ def _coefficient_sum(f: TruncatedSeries, p: ClassParams, convex: bool) -> Member
     w = p.weight(n)
     if convex:
         w = n * w
-    terms = w * f.coeffs[1:]
-    value = math.fsum(terms.tolist())
+    # lambda < 1 and alpha <= 4/3 give |w(n)| <= n <= N, so no term passes
+    # N^2 max|a_n| (N = n.size + 1); the factor 3 covers rounding
+    if f._peak * (3.0 * (n.size + 1) ** 2) < math.inf:
+        terms = w * f.coeffs[1:]
+    else:
+        terms = guarded("a weighted coefficient", np.multiply, w, f.coeffs[1:])
+    try:
+        value = math.fsum(terms.tolist())
+    except (OverflowError, ValueError):  # finite terms whose sum overflows; inf - inf
+        value = math.inf
     negative = n[(w < 0) & (f.coeffs[1:] > 0)]
     detail = "coefficient sum over n = 2..%d" % f.order
     if negative.size:
@@ -293,7 +302,7 @@ def theorem_N_lhs(tp: TouchardParams, p: ClassParams) -> MembershipReport:
 
 def rtau_coeff_bound(n: int, r: RTauParams) -> float:
     """Sharp bound (A-B)|tau|/n on |a_n| for the derivative-distortion class."""
-    return r.gain / _integer(n, 2, "coefficient index")
+    return finite(r.gain / _integer(n, 2, "coefficient index"), "the coefficient bound")
 
 
 def theorem_rtau_inclusion(

@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import ClassParams, RTauParams
-from .errors import NumericFailure, ParameterError
+from .errors import ParameterError, finite
 from .formats import rows_csv
 from .moments import GRID_SAMPLE_CAP, _integer, _real_check
-from .series import TruncatedSeries, _ring_overflow, _rings
+from .series import TruncatedSeries, _rings
 
 #: Margin on the violation comparison: a sample counts as a violation when
 #: the tested real part (or modulus) reaches bound - TOL_V.
@@ -114,17 +114,18 @@ class DiskGrid:
         return table
 
     def __getstate__(self) -> dict:
-        # the memo is keyed by a series object, which means nothing in a copy
+        # the memo's key is the identity of a series object, which no copy shares
         return {k: v for k, v in self.__dict__.items() if k != "_ring_memo"}
 
     def _ring_table(self, f: TruncatedSeries) -> tuple:
-        """(rows, finite): f, f' and f'' of ``f`` at ``_points`` as read-only
-        ``rows[0..2]`` and whether each row is finite, kept for the last series."""
+        """(rows, peaks): f, f' and f'' of ``f`` at ``_points`` as read-only
+        ``rows[0..2]`` and the largest real or imaginary part in each row
+        (inf or NaN when the row holds one), kept for the last series."""
         memo = self.__dict__.get("_ring_memo")
         if memo is None or memo[0] is not f:
             rows = _rings(f, self._powers, self.angles_per_ring, (0, 1, 2))
             rows.flags.writeable = False
-            memo = f, rows, np.isfinite(rows.view(float)).all(axis=1).tolist()
+            memo = f, rows, np.abs(rows.view(float)).max(axis=1).tolist()
             self.__dict__["_ring_memo"] = memo
         return memo[1:]
 
@@ -165,17 +166,16 @@ def _scan(f: TruncatedSeries, grid: DiskGrid | None, orders: tuple, quotient, st
     if not isinstance(keep_samples, bool):
         raise ParameterError(f"keep_samples must be True or False, got {keep_samples!r}")
     grid = grid or DiskGrid.default()
-    rows, finite = grid._ring_table(f)
-    if not all(finite[d] for d in orders):
-        raise NumericFailure(_ring_overflow(f))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
+    rows, peaks = grid._ring_table(f)
+    for d in orders:
+        finite(peaks[d], "a ring value")
+    with np.errstate(over="ignore", invalid="ignore"):  # for the gate below
         num, den = quotient(grid._points, *(rows[d] for d in orders))
         valid = np.abs(den) >= DEGENERATE_DEN
         quot = np.divide(num, den, out=np.full_like(den, np.nan), where=valid)
     values = np.ascontiguousarray(stat(quot))  # the reductions below scan np.real's view slowly
     degenerate = int(valid.size - np.count_nonzero(valid))
-    if np.count_nonzero(np.isfinite(values)) < valid.size - degenerate:
-        raise NumericFailure("the scanned quotient overflows a float")
+    finite(values[valid] if degenerate else values, "a scanned quotient")  # degenerates are NaN
     max_stat = arg = None
     if degenerate < valid.size:  # degenerate samples are NaN, which fmax skips and == rejects
         idx = int(np.argmax(values == np.fmax.reduce(values)))  # the first maximum

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one overflow gate.
 
 Two families matter to callers: :class:`ParameterError` for inputs that are
 outside a function's domain (rejected before any numerics run), and
@@ -6,7 +6,15 @@ outside a function's domain (rejected before any numerics run), and
 (a series that will not converge, a root scan that finds no bracket, a
 value that overflows a float).
 The command-line front end maps the families to exit codes 2 and 3.
+
+Validated inputs are finite, so a value past the float range (inf, or the
+NaN of inf - inf) comes from an overflow, and :func:`finite`, the one gate,
+turns it into a NumericFailure: no result carries inf or NaN, and no
+overflow is reported as a bad parameter.  Numpy code that may overflow runs
+under np.errstate, or :func:`guarded`, so that no warning escapes.
 """
+
+import math
 
 
 class TouchardStarError(Exception):
@@ -47,3 +55,29 @@ class NoConvergence(NumericFailure):
 
 class NoThreshold(NumericFailure):
     """No membership threshold exists, or none within the float range."""
+
+
+def finite(value, what: str):
+    """``value``, a number or an ndarray, if it is finite throughout, else
+    NumericFailure("<what> overflows a float").  A float takes the math
+    route, so the closed forms never load numpy."""
+    if isinstance(value, float):  # numpy's float64 too
+        ok = math.isfinite(value)
+    else:
+        import numpy as np
+
+        ok = np.count_nonzero(np.isfinite(value)) == np.size(value)
+    if not ok:
+        raise NumericFailure(f"{what} overflows a float")
+    return value
+
+
+def guarded(what: str, fn, *args):
+    """``fn(*args)``, an ndarray, with numpy's warnings silenced and the result
+    through :func:`finite`.  Callers come here only when a magnitude bound
+    says ``fn`` may overflow: otherwise neither is needed, and both cost
+    more than a short product."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finite(fn(*args), what)

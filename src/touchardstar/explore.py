@@ -37,10 +37,9 @@ from .criteria import (
     _closed,
     _complex,
     _criterion,
-    _finite,
     closed_form,
 )
-from .errors import NoThreshold, NumericFailure, ParameterError
+from .errors import NoThreshold, NumericFailure, ParameterError, finite
 from .formats import rows_csv
 from .moments import _as_integer_order, _check_m, _check_tol, tail_kernel
 
@@ -60,7 +59,7 @@ class ThresholdResult:
     counts the criterion evaluations that refined it; ``residual`` is the
     criterion value at m_star minus the bound (self-certification: plug the
     root back in).  ``all_brackets`` holds the one starting bracket from
-    :func:`_bracket`, and ``warnings`` is always empty: the root is unique.
+    :func:`_bracket`: the root is unique.
     """
 
     m_star: float
@@ -68,11 +67,10 @@ class ThresholdResult:
     residual: float
     iterations: int
     criterion: str
-    warnings: tuple = field(default=())
     all_brackets: tuple = field(default=())
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), bracket=list(self.bracket), warnings=list(self.warnings),
+        return dict(asdict(self), bracket=list(self.bracket),
                     all_brackets=[list(b) for b in self.all_brackets])
 
 
@@ -97,14 +95,15 @@ def find_threshold(which: str, l: int, p: ClassParams, rtau: RTauParams | None =
     if 1.0 - p.alpha * p.lam <= 0:
         raise NoThreshold(f"1 - alpha*lambda = {1.0 - p.alpha * p.lam!r} <= 0: criterion stays "
                           "below the bound for every m, no threshold exists")
-    lam, alpha, bound, detail = p.lam, p.alpha, p.bound, CRITERIA[which].detail
+    lam, alpha, bound = p.lam, p.alpha, p.bound
     start = lo, hi = _bracket(which, order, bound / (1.0 - alpha * lam), gain)
     if hi == math.inf:
         raise NoThreshold(f"the bracket of criterion {which!r} at l={l}, lambda={lam}, "
                           f"alpha={alpha} ends past the largest float")
 
     def g(m: float) -> float:
-        return _finite(closed_form(which, order, m, lam, alpha, gain), detail) - bound
+        value = closed_form(which, order, m, lam, alpha, gain)
+        return finite(value, "the criterion value") - bound
 
     g_lo, g_hi = g(lo), g(hi)
     if not g_lo <= 0.0 < g_hi:
@@ -152,12 +151,10 @@ def _itp(g, a: tuple, b: tuple, tol_m: float) -> tuple:
     into the interval about the midpoint that leaves a bracket no wider
     than tol_m * 2**(n - step), n = ceil(log2(width0 / tol_m)): ITP with
     n0 = 1, so at most n + 1 steps (one more than bisection) up to
-    rounding; that width starts below 2 * width0, so it cannot overflow.
-    The first five steps bisect: kappa1 = 0.2 / width0 lets one solve in 12
-    spend its slack where the criterion is far from linear, then bisect.  A point
-    that is not strictly inside the bracket becomes the midpoint, and a
-    bracket of two adjacent floats ends the refinement.  A step with g <= 0
-    moves lo.
+    rounding; that width starts below 2 * width0, so it cannot overflow.  A
+    point that is not strictly inside the bracket becomes the midpoint, and
+    a bracket of two adjacent floats ends the refinement.  A step with
+    g <= 0 moves lo.
     """
     (lo, g_lo), (hi, g_hi) = a, b
     width0 = hi - lo

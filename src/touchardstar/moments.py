@@ -26,7 +26,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 
-from .errors import InvalidIndex, NoConvergence, NumericFailure, OrderTooLarge, ParameterError
+from .errors import InvalidIndex, NoConvergence, OrderTooLarge, ParameterError, finite
 
 #: Largest moment order kept in the exact Stirling table.  Values for l <= 64
 #: fit comfortably in Python integers; the cap exists so a typo cannot demand
@@ -210,16 +210,8 @@ def poisson_moment_closed(l: int, m: float) -> MomentValue:
     """
     l = _as_integer_order(l)
     m = _check_m(m)
-    value = _closed_tail(l, m) if l else 1.0
+    value = finite(tail_kernel(l, m), "the closed-form moment") if l else 1.0
     return MomentValue(value=value, method=METHOD_CLOSED)
-
-
-def _closed_tail(l: int, m: float) -> float:
-    """:func:`tail_kernel` at a float m, or NumericFailure past the largest float."""
-    value = tail_kernel(l, m)
-    if not value < math.inf:
-        raise NumericFailure(f"closed-form moment of order {l} at m={m} overflows a float")
-    return value
 
 
 def poisson_moment_series(
@@ -265,22 +257,21 @@ def poisson_moment_series(
             terms += 1
             nxt = term * pw * q
             if not nxt < math.inf:
-                raise OverflowError
+                break  # for the gate below
             # the ratio from n + 1 to n + 2: rho now, the next step's factors after
             pw, q = ((n + 2.0) / (n + 1.0)) ** l, m / (n + 2.0)
             rho = pw * q
             if rho < 0.5:
                 bound = nxt / (1.0 - rho)
-                if bound < tol:
-                    if not total < math.inf:  # finite terms whose sum overflows
-                        raise OverflowError
-                    return MomentValue(
-                        value=total, method=METHOD_SERIES, truncation_terms=terms, tail_bound=bound
-                    )
+                if bound < tol:  # finite terms may still sum past the largest float
+                    return MomentValue(value=finite(total, "the moment series"),
+                                       method=METHOD_SERIES, truncation_terms=terms,
+                                       tail_bound=bound)
             term = nxt
             n += 1
-    except OverflowError:  # a power, a term or the sum past the largest float
-        raise NumericFailure(f"moment series for l={l}, m={m} overflows a float") from None
+    except OverflowError:  # a power past the largest float
+        nxt = math.inf
+    finite(nxt, "the moment series")  # a term past the largest float ended the loop
     raise NoConvergence(
         f"series for l={l}, m={m} did not certify tail < {tol} within {term_cap} terms"
     )
@@ -294,4 +285,4 @@ def tail_moment(l: int, m: float) -> float:
     one formula cover both the l = 0 and l >= 1 cases.  A value past the
     largest float raises NumericFailure.
     """
-    return float(_closed_tail(_as_integer_order(l), _check_m(m)))
+    return float(finite(tail_kernel(_as_integer_order(l), _check_m(m)), "the closed-form moment"))

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidOrder, NumericFailure, OutOfDisk, ParameterError
+from .errors import InvalidOrder, OutOfDisk, ParameterError, finite, guarded
 from .formats import rows_csv
 from .moments import DEFAULT_ORDER, L_MAX, SERIES_TERM_CAP, TouchardParams, _integer
 
@@ -54,10 +54,11 @@ class TruncatedSeries:
 
     ``nonneg`` records whether a_n >= 0 for all n >= 2, that is membership
     of the positive-coefficient class the coefficient criteria apply to.  It
-    is read from the coefficients and cannot be set.
+    is read from the coefficients and cannot be set, and neither can
+    ``_peak``, the largest |a_n|, which bounds what the operations compute.
     """
 
-    __slots__ = ("coeffs", "nonneg")
+    __slots__ = ("coeffs", "nonneg", "_peak")
 
     def __init__(self, coeffs):
         arr = np.asarray(coeffs)
@@ -65,17 +66,22 @@ class TruncatedSeries:
                 or (coeffs is not arr and _holds_bool(coeffs, arr))):
             raise ParameterError("coefficients must be a nonempty 1-d sequence of reals a_1..a_N")
         arr = arr.astype(float)  # a private copy, locked below
-        lo = np.minimum.reduce(arr)  # NaN if any coefficient is NaN
-        if not (-math.inf < lo and np.maximum.reduce(arr) < math.inf):
+        lo, hi = float(np.minimum.reduce(arr)), float(np.maximum.reduce(arr))  # NaN if any is
+        if not (-math.inf < lo and hi < math.inf):
             raise ParameterError("coefficients must be finite")
         if arr[0] != 1.0:
             raise ParameterError(f"normalization requires a_1 = 1, got a_1 = {arr[0]!r}")
-        arr.flags.writeable = False
+        arr.setflags(write=False)  # cheaper than through arr.flags
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "nonneg", bool(lo >= 0.0))  # a_1 = 1: lo is min(a_2..a_N)
+        object.__setattr__(self, "nonneg", lo >= 0.0)  # a_1 = 1: lo is min(a_2..a_N)
+        object.__setattr__(self, "_peak", max(-lo, hi))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which copies, checks and locks
+        return TruncatedSeries, (self.coeffs,)
 
     @property
     def order(self) -> int:
@@ -106,11 +112,12 @@ def touchard_series(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trunc
     where 2.0**l itself overflows) raises NumericFailure instead of coming
     back as inf or NaN.
     """
-    return TruncatedSeries(_kernel(params, order))
+    return TruncatedSeries(_kernel(params, order)[0])
 
 
-def _kernel(params: TouchardParams, order) -> np.ndarray:
-    """:func:`touchard_series`'s coefficients as a fresh unchecked array, to scale in place."""
+def _kernel(params: TouchardParams, order) -> tuple:
+    """:func:`touchard_series`'s coefficients as a fresh array, to scale in
+    place, and a bound on the log of each but a_1."""
     l, m = params.integer_order, params.m
     order = _integer(order, 2, "truncation order", InvalidOrder)
     if order > SERIES_TERM_CAP:
@@ -120,31 +127,28 @@ def _kernel(params: TouchardParams, order) -> np.ndarray:
     terms = u[1:]
     k = order - 1
     # Every unscaled term j**l m**j / j!, j <= k, is at most k**l max(m, 1)**k.
-    # Below the float range nothing can overflow, so the errstate guard
-    # (about as dear as the product itself) is entered only past it.
-    if l * math.log(k) + k * math.log(max(m, 1.0)) < _LOG_FLOAT_MAX:
-        _unscaled_terms(terms, l, m)
+    log_peak = l * math.log(k) + k * math.log(max(m, 1.0))
+    if log_peak < _LOG_FLOAT_MAX:
+        _terms(terms, l, m)
     else:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                _unscaled_terms(terms, l, m)
-        except OverflowError:  # (n/(n-1))**l itself
-            terms[-1] = math.inf
-        if not terms[-1] < math.inf:  # an overflow carries to the last term
-            raise NumericFailure(f"kernel coefficients for l={l}, m={m} up to order {order} "
-                                 "overflow a float")
-    terms *= math.exp(-m)
-    return u
+        guarded("a kernel coefficient", _terms, terms, l, m)
+    return u, log_peak - m
 
 
-def _unscaled_terms(v: np.ndarray, l: int, m: float) -> None:
-    """Fill ``v`` with j**l m**j / j! for j = 1..v.size, in place: the
-    cumulative product of m and the ratios r_n = (n/(n-1))**l * (m/n)."""
+def _terms(v: np.ndarray, l: int, m: float) -> np.ndarray:
+    """Fill ``v`` with j**l m**j / j! exp(-m) for j = 1..v.size, in place:
+    the cumulative product of m and the ratios r_n = (n/(n-1))**l * (m/n),
+    scaled last; inf throughout when (n/(n-1))**l itself overflows."""
     v[0] = m
     r = v[1:]
     np.divide(m, np.arange(2.0, v.size + 1), out=r)
-    r *= _ratio_powers(l, r.size)
+    try:
+        r *= _ratio_powers(l, r.size)
+    except OverflowError:
+        v.fill(math.inf)
     np.multiply.accumulate(v, out=v)
+    v *= math.exp(-m)
+    return v
 
 
 def _ratio_powers(l: int, count: int) -> np.ndarray:
@@ -166,7 +170,10 @@ def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     identity for this product.
     """
     n = min(f.order, g.order)
-    return TruncatedSeries(f.coeffs[:n] * g.coeffs[:n])
+    if f._peak * g._peak < math.inf:  # that product bounds every other
+        return TruncatedSeries(f.coeffs[:n] * g.coeffs[:n])
+    return TruncatedSeries(guarded("a coefficient of the Hadamard product", np.multiply,
+                                   f.coeffs[:n], g.coeffs[:n]))
 
 
 def apply_operator_I(params: TouchardParams, f: TruncatedSeries) -> TruncatedSeries:
@@ -175,8 +182,13 @@ def apply_operator_I(params: TouchardParams, f: TruncatedSeries) -> TruncatedSer
     The n-th coefficient of the result is
     (n-1)**l * m**(n-1)/(n-1)! * exp(-m) * a_n.
     """
-    u = _kernel(params, max(f.order, 2))[:f.order]
-    return TruncatedSeries(np.multiply(u, f.coeffs, out=u))
+    u, log_peak = _kernel(params, max(f.order, 2))
+    u = u[:f.order]
+    if log_peak + math.log(f._peak) < _LOG_FLOAT_MAX:
+        np.multiply(u, f.coeffs, out=u)
+    else:
+        guarded("a coefficient of the convolution", np.multiply, u, f.coeffs, u)
+    return TruncatedSeries(u)
 
 
 def apply_operator_L(params: TouchardParams, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -185,7 +197,7 @@ def apply_operator_L(params: TouchardParams, order: int = DEFAULT_ORDER) -> Trun
     Termwise this is the antiderivative of (kernel series)/z from 0, i.e.
     integrating z**(n-1) to z**n / n; a_1 stays 1.
     """
-    u = _kernel(params, order)
+    u = _kernel(params, order)[0]
     return TruncatedSeries(np.divide(u, np.arange(1, u.size + 1, dtype=float), out=u))
 
 
@@ -226,10 +238,9 @@ def evaluate(f: TruncatedSeries, z, order: int = 0):
     float raises NumericFailure.
     """
     zs = _in_disk(z, "evaluation points")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
+    with np.errstate(over="ignore", invalid="ignore"):  # for the gate below
         out = np.polyval(_power_coeffs(f, order)[::-1], zs.astype(complex))
-    if not np.isfinite(out).all():
-        raise NumericFailure(f"values of a series of order {f.order} overflow a float")
+    finite(out, "a series value")
     if np.isscalar(z) or zs.ndim == 0:
         return complex(out)
     return out
@@ -260,13 +271,7 @@ def evaluate_rings(f: TruncatedSeries, radii, angles: int, orders=(0,)) -> np.nd
     except TypeError:
         raise ParameterError(f"derivative orders must be a sequence, got {orders!r}") from None
     rows = _rings(f, lambda width: r[:, None] ** np.arange(width), k, orders)
-    if not np.isfinite(rows.view(float)).all():
-        raise NumericFailure(_ring_overflow(f))
-    return rows.reshape(len(orders), r.size, k)
-
-
-def _ring_overflow(f: TruncatedSeries) -> str:
-    return f"ring values of a series of order {f.order} overflow a float"
+    return finite(rows, "a ring value").reshape(len(orders), r.size, k)
 
 
 def _rings(f: TruncatedSeries, powers, k: int, orders: tuple) -> np.ndarray:
@@ -277,7 +282,7 @@ def _rings(f: TruncatedSeries, powers, k: int, orders: tuple) -> np.ndarray:
     computed with it (tests/test_disk.py checks this)."""
     width = -(-(f.order + 1) // k) * k  # powers 0..N padded to whole blocks of k
     c = np.zeros((len(orders), width))
-    with np.errstate(over="ignore", invalid="ignore"):  # callers catch inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # callers gate the rows
         for row, d in zip(c, orders):
             p = _power_coeffs(f, d)
             row[:p.size] = p

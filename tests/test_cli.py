@@ -202,7 +202,7 @@ class TestThreshold:
                                     "--lambda", "0", "--alpha", "1.2", "--format", "csv"])
         assert code == 0
         header = out.splitlines()[0]
-        assert header == "m_star,bracket_lo,bracket_hi,residual,iterations,criterion,warnings"
+        assert header == "m_star,bracket_lo,bracket_hi,residual,iterations,criterion"
 
     @pytest.mark.parametrize("lam, alpha, l, root, allowance", [
         ("0", "1.0005", "1", 5e-4, 0.0),

@@ -126,7 +126,6 @@ class TestFindThreshold:
             "residual",
             "iterations",
             "criterion",
-            "warnings",
             "all_brackets",
         }
         assert d["criterion"] == "M_theorem"
@@ -253,7 +252,6 @@ class TestThresholdRefinement:
         c = p.bound / (1.0 - alpha * lam)
         assert result.all_brackets == ((ends[0] * c * (1.0 - 2.0 ** -20),
                                         ends[1] * c * (1.0 + 2.0 ** -20)),)
-        assert result.warnings == ()
 
     @pytest.mark.parametrize("which, l", [("M", 0), ("M", 63), ("N", 62), ("rtau", 63),
                                           ("integral", 1)])
@@ -340,8 +338,7 @@ class TestThresholdValidatesOnce:
         with pytest.raises(NumericFailure) as info:
             find_threshold("M", 63, ClassParams(0.749999999, 4.0 / 3.0))
         assert type(info.value) is NumericFailure
-        assert str(info.value) == \
-            "criterion value nan is not finite (closed form via shifted moment tails)"
+        assert str(info.value) == "the criterion value overflows a float"
 
     @pytest.mark.parametrize("which, l, error, message", [
         ("M", 3.5, ParameterError, "closed-form path takes integer moment orders only, "
@@ -377,7 +374,6 @@ class TestSweep:
     def test_member_flips_once_across_m(self):
         p = ClassParams(0.0, 4.0 / 3.0)
         t = find_threshold("M", 0, p)
-        assert not t.warnings
         ms = [0.05 * k for k in range(1, 20)]
         table = sweep("M", {"l": [0], "m": ms, "lambda": [0.0], "alpha": [4.0 / 3.0]})
         members = [row["member"] for row in table.rows]

@@ -313,9 +313,9 @@ class TestOverflow:
     def test_kernel_overflow_is_numeric_failure(self, l, m, order):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericFailure, match="overflow a float"):
+            with pytest.raises(NumericFailure, match="overflows a float"):
                 touchard_series(TouchardParams(l, m), order)
-            with pytest.raises(NumericFailure, match="overflow a float"):
+            with pytest.raises(NumericFailure, match="overflows a float"):
                 apply_operator_L(TouchardParams(l, m), order)
 
     def test_order_two_needs_no_ratio(self):

@@ -5,7 +5,9 @@ use long independent summations and (for the integral transform) numeric
 quadrature of the integrand.
 """
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -63,6 +65,19 @@ class TestTruncatedSeries:
             f.nonneg = True
         with pytest.raises(ValueError):
             f.coeffs[0] = 2.0
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda f: pickle.loads(pickle.dumps(f))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("coeffs", [[1.0, 0.25, 1e308], [1.0, -0.5, 5e-324]])
+    def test_copies_round_trip(self, duplicate, coeffs):
+        f = TruncatedSeries(coeffs)
+        twin = duplicate(f)
+        assert type(twin) is TruncatedSeries
+        assert (twin.coeffs.tobytes(), twin.nonneg) == (f.coeffs.tobytes(), f.nonneg)
+        assert not twin.coeffs.flags.writeable
+        with pytest.raises(AttributeError):
+            twin.nonneg = not f.nonneg
 
     def test_accessor(self):
         f = TruncatedSeries([1.0, 0.25, 0.125])
